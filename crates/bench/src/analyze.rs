@@ -14,43 +14,11 @@
 
 use ida_obs::json::JsonObj;
 use ida_obs::span::{Phase, PhaseNs, PhaseStats, ALL_PHASES};
+use ida_obs::trace::TRACE_KINDS;
 use ida_sweep::jsonv::{self, JsonValue};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Every event kind the trace schema knows; anything else fails
-/// validation.
-const KNOWN_KINDS: [&str; 28] = [
-    "run_start",
-    "host_arrival",
-    "host_complete",
-    "read_issued",
-    "sense",
-    "program",
-    "erase",
-    "voltage_adjust",
-    "read_retry",
-    "gc_run",
-    "refresh_block",
-    "ida_conversion",
-    "fault_program_fail",
-    "write_redirect",
-    "fault_erase_fail",
-    "block_retired",
-    "fault_read_transient",
-    "read_recovered",
-    "fault_power_loss",
-    "recovery_scan",
-    "read_only_mode",
-    "write_rejected",
-    "span",
-    "host_shed",
-    "slo_status",
-    "ecc_uncorrectable",
-    "scrub_pass",
-    "wear_level",
-];
 
 /// One read's attribution waterfall, kept for the slowest-reads table.
 #[derive(Debug, Clone, Copy)]
@@ -206,7 +174,7 @@ pub fn load(path: &Path, keep: usize) -> Result<TraceStats, String> {
         stats.lines += 1;
         let v = jsonv::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
         let kind = str_field(&v, "ev", line_no)?;
-        if !KNOWN_KINDS.contains(&kind) {
+        if !TRACE_KINDS.contains(&kind) {
             return Err(format!("line {line_no}: unknown event kind `{kind}`"));
         }
         let t = u64_field(&v, "t", line_no)?;

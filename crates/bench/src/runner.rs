@@ -17,7 +17,9 @@ use ida_flash::timing::{FlashTiming, SimTime};
 use ida_obs::gauge::GaugeSet;
 use ida_obs::trace::{FilterSink, JsonlSink, SinkHandle, TraceEvent};
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::{HostOp, HostOpKind, Report, SimError, Simulator, SsdConfig};
+use ida_ssd::{
+    ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
+};
 use ida_sweep::WarmCache;
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::trace::{OpKind, Trace};
@@ -306,22 +308,12 @@ pub fn to_host_ops(trace: &Trace) -> Vec<HostOp> {
 /// Run one workload on one pre-built config, following the warm-up →
 /// measure protocol. Returns the measured report.
 pub fn run_config(preset: &WorkloadPreset, cfg: SsdConfig, scale: &ExperimentScale) -> Report {
-    run_config_mode(preset, cfg, scale, ReplayMode::OpenLoop)
+    run_config_faulted(preset, cfg, scale, ReplayMode::OpenLoop, None)
 }
 
-/// [`run_config`] with an explicit replay mode.
-pub fn run_config_mode(
-    preset: &WorkloadPreset,
-    cfg: SsdConfig,
-    scale: &ExperimentScale,
-    mode: ReplayMode,
-) -> Report {
-    run_config_faulted(preset, cfg, scale, mode, None)
-}
-
-/// [`run_config_mode`] with a fault plan armed *after* warm-up, so every
-/// injected fault lands inside the measured window (warm-up stays clean,
-/// like a device that degrades in service).
+/// [`run_config`] with an explicit replay mode and a fault plan armed
+/// *after* warm-up, so every injected fault lands inside the measured
+/// window (warm-up stays clean, like a device that degrades in service).
 pub fn run_config_faulted(
     preset: &WorkloadPreset,
     cfg: SsdConfig,
@@ -399,9 +391,9 @@ impl From<SimError> for ReplayError {
 /// version: fold the trace onto a footprint-sized slice of the device,
 /// prefill that footprint, put refresh on the trace's own span, run one
 /// staggered refresh cycle, then measure. Open loop replays the trace's
-/// own arrival times through the typed [`Simulator::try_run`] path (a
-/// malformed trace is an error, not a panic); closed loop ignores them
-/// and keeps `depth` requests in flight.
+/// own arrival times; closed loop ignores them and keeps `depth`
+/// requests in flight. Both go through the typed sources, so a
+/// malformed trace is an error, not a panic.
 ///
 /// # Errors
 ///
@@ -435,8 +427,8 @@ pub fn replay_trace(
     sim.set_spans(true);
     let ops = to_host_ops(&folded);
     let report = match mode {
-        ReplayMode::OpenLoop => sim.try_run(ops)?,
-        ReplayMode::ClosedLoop(depth) => sim.run_closed_loop(ops, depth),
+        ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(ops)?)?,
+        ReplayMode::ClosedLoop(depth) => sim.run_source(&mut ClosedLoopSource::new(ops, depth)?)?,
     };
     obs.finish(&sim, &report)?;
     Ok(report)

@@ -9,6 +9,7 @@ use crate::args::CommonArgs;
 use ida_bench::load::{
     load_metrics_json, nominal_iops, run_capacity, run_load_obs, LoadSpec, CAPACITY_MAX_ITERS,
 };
+use ida_bench::paper::{experiment, EXPERIMENTS};
 use ida_bench::runner::{
     normalized_read_response, replay_trace, run_system_obs, system_config, to_host_ops,
     warm_cache_key, warmed_simulator, ExperimentScale, ObsOptions, ReplayMode, SystemUnderTest,
@@ -88,6 +89,12 @@ pub enum Command {
         /// Share warm-up state across cells: run each unique warm-up
         /// once, fork the rest from its snapshot (output is unchanged).
         warm_cache: bool,
+    },
+    /// Run one single-configuration paper experiment (a table, figure
+    /// or ablation that is not a sweep grid).
+    Paper {
+        /// Experiment name, one of [`EXPERIMENTS`].
+        name: String,
     },
     /// Coordinate a distributed sweep: serve cells to `idasim worker`
     /// processes and aggregate their results.
@@ -354,6 +361,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 progress: c.progress,
                 warm_cache,
             })
+        }
+        Some("paper") => {
+            let name = args.get(1).ok_or_else(|| {
+                format!(
+                    "paper needs an experiment name (one of: {})",
+                    experiment_names()
+                )
+            })?;
+            paper_experiment(name)?;
+            if let Some(extra) = args.get(2) {
+                return Err(format!("unexpected argument: {extra}"));
+            }
+            Ok(Command::Paper { name: name.clone() })
         }
         Some("serve") => {
             let grid = args
@@ -881,20 +901,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
             progress,
             warm_cache,
         } => {
-            let spec = builtin_grid(&grid).ok_or_else(|| {
-                format!(
-                    "unknown sweep grid {grid} (one of: {})",
-                    BUILTIN_GRIDS.join(", ")
-                )
-            })?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
+            let spec = grid_spec(&grid)?;
+            let scale = scale_for(smoke, requests);
             // Environment supplies defaults (IDA_JOBS, IDA_JOURNAL);
             // explicit flags win.
             let mut cfg = SweepConfig::from_env()?;
@@ -915,26 +923,12 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 // machine-readable aggregate on stdout.
                 eprintln!("{}", cache.stats_line(outcome.outcomes.len()));
             }
-            let json = outcome.aggregate_json();
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    out.push_str(&render(&outcome)?);
-                    let _ = writeln!(
-                        out,
-                        "\nsweep {grid} on {} worker(s): {}\nwrote aggregate to {}",
-                        cfg.jobs,
-                        outcome.summary(),
-                        path.display()
-                    );
-                }
-                // No --out: machine-readable aggregate on stdout.
-                None => {
-                    out.push_str(&json);
-                    out.push('\n');
-                }
-            }
+            let summary = format!("sweep {grid} on {} worker(s)", cfg.jobs);
+            write_aggregate(&mut out, &outcome, out_path, &summary)?;
+        }
+        Command::Paper { name } => {
+            let experiment = paper_experiment(&name)?;
+            out.push_str(&experiment(&ExperimentScale::from_env()));
         }
         Command::Serve {
             grid,
@@ -944,20 +938,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
             smoke,
             requests,
         } => {
-            let spec = builtin_grid(&grid).ok_or_else(|| {
-                format!(
-                    "unknown sweep grid {grid} (one of: {})",
-                    BUILTIN_GRIDS.join(", ")
-                )
-            })?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
+            let spec = grid_spec(&grid)?;
+            let scale = scale_for(smoke, requests);
             let mut cfg = SweepConfig::from_env()?;
             if journal.is_some() {
                 cfg.journal = journal;
@@ -970,24 +952,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
             );
             let outcome = run_grid_on(&spec, &scale, &cfg, Backend::Distributed { listener })
                 .map_err(|e| format!("serve failed: {e}"))?;
-            let json = outcome.aggregate_json();
-            match out_path {
-                Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                    out.push_str(&render(&outcome)?);
-                    let _ = writeln!(
-                        out,
-                        "\nsweep {grid} served on {listen}: {}\nwrote aggregate to {}",
-                        outcome.summary(),
-                        path.display()
-                    );
-                }
-                None => {
-                    out.push_str(&json);
-                    out.push('\n');
-                }
-            }
+            let summary = format!("sweep {grid} served on {listen}");
+            write_aggregate(&mut out, &outcome, out_path, &summary)?;
         }
         Command::Worker { connect, jobs } => {
             let jobs = match jobs {
@@ -1012,14 +978,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             smoke,
             requests,
         } => {
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
+            let scale = scale_for(smoke, requests);
             let system_spec = parse_system(&system)?;
             match action.as_str() {
                 "save" => {
@@ -1149,14 +1108,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             progress,
         } => {
             paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
+            let scale = scale_for(smoke, requests);
             let mut cfg = SweepConfig::from_env()?;
             if let Some(j) = jobs {
                 cfg.jobs = j;
@@ -1278,14 +1230,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             seed,
         } => {
             let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
-            let mut scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
-            if let Some(r) = requests {
-                scale.requests = r;
-            }
+            let scale = scale_for(smoke, requests);
             let arrival = ArrivalSpec::parse(&arrival)?;
             let admission = AdmissionPolicy::parse(&admission)?;
             let slo_ns = slo_us * 1_000;
@@ -1397,11 +1342,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             metrics_json,
             progress,
         } => {
-            let scale = if smoke {
-                ExperimentScale::smoke()
-            } else {
-                ExperimentScale::from_env()
-            };
+            let scale = scale_for(smoke, None);
             let file = std::fs::File::open(&msr)
                 .map_err(|e| format!("cannot read {}: {e}", msr.display()))?;
             let trace = ida_workloads::msr::parse_msr(
@@ -1487,6 +1428,72 @@ fn unknown(workload: &str) -> String {
     format!("unknown workload {workload} (try `idasim list`)")
 }
 
+/// The experiment scale a `--smoke`/`--requests` pair selects: the smoke
+/// scale, else the one `IDA_SCALE`/`IDA_REQUESTS` select, with an
+/// explicit request count winning.
+fn scale_for(smoke: bool, requests: Option<usize>) -> ExperimentScale {
+    let mut scale = if smoke {
+        ExperimentScale::smoke()
+    } else {
+        ExperimentScale::from_env()
+    };
+    if let Some(r) = requests {
+        scale.requests = r;
+    }
+    scale
+}
+
+/// The paper experiment names, comma-separated, for error messages.
+fn experiment_names() -> String {
+    EXPERIMENTS.map(|(name, _)| name).join(", ")
+}
+
+/// Look up a paper experiment by name.
+fn paper_experiment(name: &str) -> Result<fn(&ExperimentScale) -> String, String> {
+    experiment(name)
+        .ok_or_else(|| format!("unknown experiment {name} (one of: {})", experiment_names()))
+}
+
+/// Look up a built-in sweep grid by name.
+fn grid_spec(grid: &str) -> Result<SweepSpec, String> {
+    builtin_grid(grid).ok_or_else(|| {
+        format!(
+            "unknown sweep grid {grid} (one of: {})",
+            BUILTIN_GRIDS.join(", ")
+        )
+    })
+}
+
+/// Emit a finished grid's aggregate: with `--out`, write the JSON there
+/// and append the rendered table plus `<summary>: <outcome>` to `out`;
+/// without it, append the machine-readable JSON itself.
+fn write_aggregate(
+    out: &mut String,
+    outcome: &SweepOutcome,
+    out_path: Option<PathBuf>,
+    summary: &str,
+) -> Result<(), String> {
+    let json = outcome.aggregate_json();
+    match out_path {
+        Some(path) => {
+            std::fs::write(&path, json + "\n")
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            out.push_str(&render(outcome)?);
+            let _ = writeln!(
+                out,
+                "\n{summary}: {}\nwrote aggregate to {}",
+                outcome.summary(),
+                path.display()
+            );
+        }
+        None => {
+            out.push_str(&json);
+            out.push('\n');
+        }
+    }
+    Ok(())
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 idasim — IDA-coding SSD simulator driver
@@ -1500,6 +1507,7 @@ USAGE:
   idasim sweep <grid> [--jobs N] [--journal <path.jsonl>]
                [--out <path.json>] [--smoke] [--requests N] [--progress]
                [--warm-cache]
+  idasim paper <experiment>
   idasim serve <grid> [--listen 127.0.0.1:7141] [--journal <path.jsonl>]
                [--out <path.json>] [--smoke] [--requests N]
   idasim worker [--connect 127.0.0.1:7141] [--jobs N]
@@ -1618,10 +1626,14 @@ byte-identical across runs (wall-clock and derived rates vary).
 captured suite (or comparison) JSON and adds per-bench speedups; the
 committed BENCH_*.json trajectory files are such comparisons.
 
-Experiment binaries reproducing each paper table/figure live in the
-ida-bench crate, e.g.:
-  cargo run --release -p ida-bench --bin fig8_response_time
-(fig8/fig9/fig10 binaries honor IDA_JOBS and IDA_JOURNAL too.)
+Paper: runs one single-configuration experiment of the paper's
+evaluation and prints its table next to the paper's numbers:
+table3_workloads, fig4_read_distribution, table4_refresh_overhead,
+table5_mlc, fig6_qlc, blocks_overhead, ablation_lsb_placement,
+ablation_coding_232. Scale comes from IDA_SCALE=smoke|full and
+IDA_REQUESTS=N. Figures 8-11 are the fig8..fig11 sweep grids, e.g.:
+  IDA_SCALE=smoke idasim paper table5_mlc
+  idasim sweep fig8 --smoke --out fig8.json
 ";
 
 #[cfg(test)]
@@ -1942,6 +1954,44 @@ mod tests {
     }
 
     #[test]
+    fn paper_parse_takes_exactly_one_known_experiment() {
+        assert_eq!(
+            parse_args(&s(&["paper", "table5_mlc"])).unwrap(),
+            Command::Paper {
+                name: "table5_mlc".into()
+            }
+        );
+        let missing = parse_args(&s(&["paper"])).unwrap_err();
+        assert!(missing.contains("needs an experiment name"), "{missing}");
+        let unknown = parse_args(&s(&["paper", "fig8_response_time"])).unwrap_err();
+        assert!(unknown.contains("unknown experiment"), "{unknown}");
+        for (name, _) in EXPERIMENTS {
+            assert!(unknown.contains(name), "{unknown} lacks {name}");
+            assert!(USAGE.contains(name), "usage lacks {name}");
+        }
+        assert_eq!(EXPERIMENTS.len(), 8);
+        let extra = parse_args(&s(&["paper", "table3_workloads", "--smoke"])).unwrap_err();
+        assert!(extra.contains("unexpected argument: --smoke"), "{extra}");
+    }
+
+    #[test]
+    fn paper_table3_reports_every_workload() {
+        let out = run(Command::Paper {
+            name: "table3_workloads".into(),
+        })
+        .unwrap();
+        assert!(
+            out.starts_with("Table III — workload characteristics"),
+            "{out}"
+        );
+        let rows = paper_workloads()
+            .iter()
+            .filter(|p| out.lines().any(|l| l.starts_with(&p.spec.name)))
+            .count();
+        assert_eq!(rows, 11, "{out}");
+    }
+
+    #[test]
     fn parses_bench_options() {
         let cmd = parse_args(&s(&[
             "bench",
@@ -2150,6 +2200,7 @@ mod tests {
         assert!(USAGE.contains("idasim serve"));
         assert!(USAGE.contains("idasim worker"));
         assert!(USAGE.contains("--connect"));
+        assert!(USAGE.contains("idasim paper <experiment>"));
     }
 
     #[test]

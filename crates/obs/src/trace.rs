@@ -392,6 +392,39 @@ pub enum TraceEvent {
     },
 }
 
+/// Every event kind [`TraceEvent::kind`] can return — the `ev` labels of
+/// the JSONL trace schema, in declaration order.
+pub const TRACE_KINDS: [&str; 28] = [
+    "run_start",
+    "host_arrival",
+    "host_complete",
+    "read_issued",
+    "sense",
+    "program",
+    "erase",
+    "voltage_adjust",
+    "read_retry",
+    "ecc_uncorrectable",
+    "scrub_pass",
+    "wear_level",
+    "gc_run",
+    "refresh_block",
+    "ida_conversion",
+    "fault_program_fail",
+    "write_redirect",
+    "fault_erase_fail",
+    "block_retired",
+    "fault_read_transient",
+    "read_recovered",
+    "fault_power_loss",
+    "recovery_scan",
+    "read_only_mode",
+    "write_rejected",
+    "span",
+    "host_shed",
+    "slo_status",
+];
+
 impl TraceEvent {
     /// The simulated timestamp of the event.
     pub fn timestamp(&self) -> SimNs {
@@ -1195,34 +1228,40 @@ mod tests {
 
     #[test]
     fn every_event_class_is_known() {
-        assert_eq!(ev(1).class(), "ftl");
-        assert_eq!(
-            TraceEvent::RunStart {
-                t: 0,
-                label: "x".into()
-            }
-            .class(),
-            "host"
-        );
-        assert_eq!(
-            TraceEvent::GcRun {
-                t: 0,
-                block: 1,
-                copies: 2
-            }
-            .class(),
-            "gc"
-        );
-        assert_eq!(
-            TraceEvent::IdaConversion {
-                t: 0,
-                block: 1,
-                wordlines: 2
-            }
-            .class(),
-            "refresh"
-        );
-        assert_eq!(TraceEvent::WriteRejected { t: 0, lpn: 1 }.class(), "fault");
+        let cases = [
+            (ev(1), "ftl"),
+            (
+                TraceEvent::RunStart {
+                    t: 0,
+                    label: "x".into(),
+                },
+                "host",
+            ),
+            (
+                TraceEvent::GcRun {
+                    t: 0,
+                    block: 1,
+                    copies: 2,
+                },
+                "gc",
+            ),
+            (
+                TraceEvent::IdaConversion {
+                    t: 0,
+                    block: 1,
+                    wordlines: 2,
+                },
+                "refresh",
+            ),
+            (TraceEvent::WriteRejected { t: 0, lpn: 1 }, "fault"),
+        ];
+        for (event, class) in &cases {
+            assert_eq!(event.class(), *class, "{event:?}");
+            assert!(TRACE_KINDS.contains(&event.kind()), "{event:?}");
+        }
+        for (i, kind) in TRACE_KINDS.iter().enumerate() {
+            assert!(!TRACE_KINDS[..i].contains(kind), "duplicate kind {kind}");
+        }
     }
 
     #[test]

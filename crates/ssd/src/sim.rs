@@ -608,38 +608,17 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the trace is not sorted by arrival time (the documented
-    /// precondition; [`Self::try_run`] is the non-panicking form).
+    /// precondition; [`ListSource::new`](crate::ListSource::new) plus
+    /// [`Self::run_source`] is the non-panicking form).
     pub fn run(&mut self, trace: Vec<HostOp>) -> Report {
-        assert!(
-            trace.windows(2).all(|w| w[0].at <= w[1].at),
-            "trace must be sorted by arrival time"
-        );
-        match self.run_source(&mut crate::source::ListSource::new(trace)) {
+        let mut source = crate::source::ListSource::new(trace).unwrap_or_else(|e| panic!("{e}"));
+        match self.run_source(&mut source) {
             Ok(report) => report,
             // A ListSource never reports Blocked, so the driver cannot
             // fail on it; keep the impossible branch loud rather than
             // silently fabricating a Report.
             Err(e) => unreachable!("list source cannot stall: {e}"),
         }
-    }
-
-    /// Like [`Self::run`], but returns a typed error instead of panicking
-    /// on an unsorted trace — the entry point for user-supplied traces
-    /// (e.g. `idasim replay`).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnsortedTrace`] when an entry arrives earlier than its
-    /// predecessor.
-    pub fn try_run(&mut self, trace: Vec<HostOp>) -> Result<Report, SimError> {
-        if let Some(i) = trace.windows(2).position(|w| w[0].at > w[1].at) {
-            return Err(SimError::UnsortedTrace {
-                index: i + 1,
-                at: trace[i + 1].at,
-                prev: trace[i].at,
-            });
-        }
-        self.run_source(&mut crate::source::ListSource::new(trace))
     }
 
     /// Run `trace` in closed-loop mode: arrival timestamps are ignored and
@@ -653,30 +632,17 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `queue_depth == 0` (the documented precondition;
-    /// [`Self::try_run_closed_loop`] is the non-panicking form).
+    /// [`ClosedLoopSource::new`](crate::source::ClosedLoopSource::new)
+    /// plus [`Self::run_source`] is the non-panicking form).
     pub fn run_closed_loop(&mut self, trace: Vec<HostOp>, queue_depth: usize) -> Report {
-        assert!(queue_depth > 0, "queue depth must be positive");
-        match self.try_run_closed_loop(trace, queue_depth) {
+        let mut source = crate::source::ClosedLoopSource::new(trace, queue_depth)
+            .unwrap_or_else(|e| panic!("{e}"));
+        match self.run_source(&mut source) {
             Ok(report) => report,
-            // Depth was just checked and a ClosedLoopSource only blocks
-            // with requests in flight, so the driver cannot fail.
+            // A ClosedLoopSource only blocks with requests in flight, so
+            // the driver cannot fail.
             Err(e) => unreachable!("closed-loop source cannot stall: {e}"),
         }
-    }
-
-    /// Like [`Self::run_closed_loop`], but returns a typed error instead
-    /// of panicking on a zero queue depth.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ZeroQueueDepth`] when `queue_depth == 0`.
-    pub fn try_run_closed_loop(
-        &mut self,
-        trace: Vec<HostOp>,
-        queue_depth: usize,
-    ) -> Result<Report, SimError> {
-        let mut source = crate::source::ClosedLoopSource::new(trace, queue_depth)?;
-        self.run_source(&mut source)
     }
 
     /// Run a timed simulation pulling arrivals from `source` until it
@@ -687,9 +653,8 @@ impl Simulator {
     /// [`Pull::Blocked`], so window-limited and rate-limited sources
     /// compose.
     ///
-    /// This is the **single event-loop driver**: [`Self::run`],
-    /// [`Self::try_run`], [`Self::run_closed_loop`], and
-    /// [`Self::try_run_closed_loop`] are thin wrappers handing it a
+    /// This is the **single event-loop driver**: [`Self::run`] and
+    /// [`Self::run_closed_loop`] are thin panicking wrappers handing it a
     /// [`ListSource`](crate::ListSource) or a
     /// [`ClosedLoopSource`](crate::source::ClosedLoopSource).
     ///
@@ -1746,23 +1711,21 @@ mod tests {
 
     #[test]
     fn try_run_reports_the_offending_entry() {
-        let mut sim = Simulator::new(SsdConfig::tiny_test());
-        let err = sim
-            .try_run(vec![
-                HostOp {
-                    at: 10,
-                    kind: HostOpKind::Read,
-                    lpn: 0,
-                    pages: 1,
-                },
-                HostOp {
-                    at: 5,
-                    kind: HostOpKind::Read,
-                    lpn: 1,
-                    pages: 1,
-                },
-            ])
-            .unwrap_err();
+        let err = crate::source::ListSource::new(vec![
+            HostOp {
+                at: 10,
+                kind: HostOpKind::Read,
+                lpn: 0,
+                pages: 1,
+            },
+            HostOp {
+                at: 5,
+                kind: HostOpKind::Read,
+                lpn: 1,
+                pages: 1,
+            },
+        ])
+        .unwrap_err();
         assert_eq!(
             err,
             crate::sim::SimError::UnsortedTrace {
@@ -1773,15 +1736,16 @@ mod tests {
         );
         assert!(err.to_string().contains("not sorted"));
         // A sorted trace runs normally through the same entry point.
+        let mut sim = Simulator::new(SsdConfig::tiny_test());
         sim.prefill(0..1);
-        let report = sim
-            .try_run(vec![HostOp {
-                at: 0,
-                kind: HostOpKind::Read,
-                lpn: 0,
-                pages: 1,
-            }])
-            .unwrap();
+        let mut src = crate::source::ListSource::new(vec![HostOp {
+            at: 0,
+            kind: HostOpKind::Read,
+            lpn: 0,
+            pages: 1,
+        }])
+        .unwrap();
+        let report = sim.run_source(&mut src).unwrap();
         assert_eq!(report.reads.count, 1);
     }
 
@@ -1795,7 +1759,7 @@ mod tests {
         let ra = a.run(trace.clone());
         let mut b = Simulator::new(SsdConfig::tiny_test());
         b.prefill(0..48);
-        let mut src = crate::source::ListSource::new(trace);
+        let mut src = crate::source::ListSource::new(trace).expect("sorted trace");
         let rb = b.run_source(&mut src).expect("list source never stalls");
         assert_eq!(ra, rb);
         assert_eq!(a.now(), b.now());
@@ -1804,7 +1768,7 @@ mod tests {
     #[test]
     fn sourced_run_with_empty_source_is_empty() {
         let mut sim = Simulator::new(SsdConfig::tiny_test());
-        let mut src = crate::source::ListSource::new(Vec::new());
+        let mut src = crate::source::ListSource::new(Vec::new()).expect("empty trace");
         let report = sim.run_source(&mut src).expect("empty source");
         assert_eq!(report.reads.count + report.writes.count, 0);
         assert_eq!(report.events_processed, 0);
@@ -1939,15 +1903,16 @@ mod tests {
         let ra = a.run_closed_loop(trace.clone(), 4);
         let mut b = Simulator::new(SsdConfig::tiny_test());
         b.prefill(0..16);
-        let rb = b.try_run_closed_loop(trace, 4).expect("valid depth");
+        // The typed path user traces take: source construction, then
+        // the driver.
+        let mut src = crate::source::ClosedLoopSource::new(trace, 4).expect("valid depth");
+        let rb = b.run_source(&mut src).expect("closed loop never stalls");
         assert_eq!(ra, rb);
-        let err = b.try_run_closed_loop(Vec::new(), 0).unwrap_err();
-        assert_eq!(err, SimError::ZeroQueueDepth);
     }
 
     #[test]
     fn open_loop_wrapper_matches_a_manual_list_source() {
-        // The driver contract behind run/try_run: identical Reports to a
+        // The driver contract behind run: identical Reports to a
         // manually driven ListSource, including the persistent-clock
         // second run. (Also written against the pre-unification body.)
         let trace = write_then_read_trace(32, 70 * NS_PER_US);
@@ -1957,14 +1922,11 @@ mod tests {
         let ra2 = a.run(trace.clone());
         let mut b = Simulator::new(SsdConfig::tiny_test());
         b.prefill(0..32);
-        let rb1 = b
-            .run_source(&mut crate::source::ListSource::new(trace.clone()))
-            .expect("list source never stalls");
-        let rb2 = b
-            .run_source(&mut crate::source::ListSource::new(trace))
-            .expect("list source never stalls");
-        assert_eq!(ra1, rb1);
-        assert_eq!(ra2, rb2);
+        for (ra, trace) in [(ra1, trace.clone()), (ra2, trace)] {
+            let mut src = crate::source::ListSource::new(trace).expect("sorted trace");
+            let rb = b.run_source(&mut src).expect("list source never stalls");
+            assert_eq!(ra, rb);
+        }
         assert_eq!(a.now(), b.now());
     }
 

@@ -75,10 +75,21 @@ pub struct ListSource {
 }
 
 impl ListSource {
-    /// Wrap a trace (must be sorted by arrival time for open-loop
-    /// semantics; unsorted entries are clamped forward by the simulator).
-    pub fn new(trace: Vec<HostOp>) -> Self {
-        ListSource { trace, next: 0 }
+    /// Wrap a trace sorted by arrival time.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnsortedTrace`](crate::sim::SimError::UnsortedTrace)
+    /// naming the first entry that arrives earlier than its predecessor.
+    pub fn new(trace: Vec<HostOp>) -> Result<Self, crate::sim::SimError> {
+        if let Some(i) = trace.windows(2).position(|w| w[0].at > w[1].at) {
+            return Err(crate::sim::SimError::UnsortedTrace {
+                index: i + 1,
+                at: trace[i + 1].at,
+                prev: trace[i].at,
+            });
+        }
+        Ok(ListSource { trace, next: 0 })
     }
 }
 
@@ -179,7 +190,7 @@ mod tests {
                 pages: 1,
             },
         ];
-        let mut src = ListSource::new(ops.clone());
+        let mut src = ListSource::new(ops.clone()).expect("sorted trace");
         match src.next(0) {
             Pull::Op(s) => {
                 assert_eq!(s.op, ops[0]);

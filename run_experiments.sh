@@ -1,12 +1,13 @@
 #!/bin/bash
 # Regenerate every paper artifact under results/.
 #
-# The three sweep-shaped figures (fig8/fig9/fig10) run through the
+# The sweep-shaped figures (fig8/fig9/fig10/fig11) run through the
 # `idasim sweep` engine: parallel across IDA_JOBS workers, journaled to
 # results/<grid>.journal.jsonl so a killed run resumes where it left
 # off, aggregate JSON in results/<grid>.json plus the rendered table in
 # results/<grid>.txt. The remaining experiments are single-config
-# binaries and run serially. Knobs: IDA_SCALE=smoke|full, IDA_JOBS=N.
+# `idasim paper` runs and run serially. Knobs: IDA_SCALE=smoke|full,
+# IDA_REQUESTS=N, IDA_JOBS=N.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -14,9 +15,9 @@ jobs="${IDA_JOBS:-$(nproc)}"
 mkdir -p results
 
 echo "=== build ==="
-cargo build --release -p ida-cli -p ida-bench
+cargo build --release -p ida-cli
 
-for grid in fig8 fig9 fig10; do
+for grid in fig8 fig9 fig10 fig11; do
   echo "=== sweep $grid (jobs=$jobs) ==="
   target/release/idasim sweep "$grid" \
     --jobs "$jobs" \
@@ -28,10 +29,10 @@ for grid in fig8 fig9 fig10; do
 done
 
 for exp in table3_workloads fig4_read_distribution table4_refresh_overhead \
-           fig11_read_retry table5_mlc fig6_qlc blocks_overhead \
+           table5_mlc fig6_qlc blocks_overhead \
            ablation_lsb_placement ablation_coding_232; do
-  echo "=== $exp ==="
-  target/release/"$exp" > "results/$exp.txt" 2> "results/$exp.log"
+  echo "=== paper $exp ==="
+  target/release/idasim paper "$exp" > "results/$exp.txt" 2> "results/$exp.log"
   echo "done $exp"
 done
 
