@@ -392,8 +392,9 @@ impl From<SimError> for ReplayError {
 /// prefill that footprint, put refresh on the trace's own span, run one
 /// staggered refresh cycle, then measure. Open loop replays the trace's
 /// own arrival times; closed loop ignores them and keeps `depth`
-/// requests in flight. Both go through the typed sources, so a
-/// malformed trace is an error, not a panic.
+/// requests in flight. Either mode rejects an unsorted trace up front,
+/// and both go through the typed sources, so a malformed trace is an
+/// error, not a panic.
 ///
 /// # Errors
 ///
@@ -418,6 +419,8 @@ pub fn replay_trace(
     // room to breathe, like the presets' footprint fractions.
     let exported = sim.ftl().exported_pages();
     let folded = ida_workloads::msr::fold_to_footprint(trace, (exported / 2).max(1_000));
+    let ops = to_host_ops(&folded);
+    ida_ssd::source::check_sorted(&ops)?;
     let footprint = folded.footprint_pages().max(1_000);
     sim.prefill(0..footprint);
     let span = folded.span().max(1);
@@ -425,7 +428,6 @@ pub fn replay_trace(
     sim.set_refresh_period(period.max(1));
     sim.force_refresh_all(span / 2);
     sim.set_spans(true);
-    let ops = to_host_ops(&folded);
     let report = match mode {
         ReplayMode::OpenLoop => sim.run_source(&mut ListSource::new(ops)?)?,
         ReplayMode::ClosedLoop(depth) => sim.run_source(&mut ClosedLoopSource::new(ops, depth)?)?,
@@ -608,6 +610,45 @@ mod tests {
         assert!(run.report.reads.count > 500);
         assert!(run.report.writes.count > 0);
         assert!(run.report.reads.mean() > 0.0);
+    }
+
+    #[test]
+    fn unsorted_trace_is_a_typed_error_in_both_replay_modes() {
+        use ida_workloads::trace::TraceRecord;
+        // The last record arrives first: `Trace::span` used to overflow
+        // on this before the source could reject it.
+        let rec = |at, page| TraceRecord {
+            at,
+            kind: OpKind::Read,
+            page,
+            pages: 1,
+        };
+        let trace = Trace {
+            page_size: 4096,
+            records: vec![rec(5_000, 0), rec(9_000, 1), rec(1_000, 2)],
+        };
+        let scale = ExperimentScale::smoke().with_requests(3);
+        for mode in [ReplayMode::OpenLoop, ReplayMode::ClosedLoop(4)] {
+            let err = replay_trace(
+                &trace,
+                SystemUnderTest::Baseline,
+                &scale,
+                mode,
+                &ObsOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ReplayError::Sim(SimError::UnsortedTrace {
+                        index: 2,
+                        at: 1_000,
+                        prev: 9_000
+                    })
+                ),
+                "{mode:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -997,12 +997,12 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         derive_stream_seed(WARM_SEED_BASE, &format!("{workload}/{system}/r0"));
                     let key = warm_cache_key(&workload, &cfg, &scale);
                     let (sim, _) = warmed_simulator(&preset, cfg, &scale);
-                    let mut w = ida_snap::Writer::new();
-                    ida_snap::Snap::encode(&workload, &mut w);
-                    ida_snap::Snap::encode(&system, &mut w);
-                    ida_snap::Snap::encode(&(scale.requests as u64), &mut w);
-                    ida_snap::Snap::encode(&sim.snapshot(), &mut w);
-                    let framed = ida_snap::frame::seal(&w.into_bytes());
+                    let framed = ida_snap::frame::seal_with(|w| {
+                        ida_snap::Snap::encode(&workload, w);
+                        ida_snap::Snap::encode(&system, w);
+                        ida_snap::Snap::encode(&(scale.requests as u64), w);
+                        ida_snap::Snap::encode(&sim.snapshot(), w);
+                    });
                     let bytes = framed.len();
                     std::fs::write(&path, framed)
                         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1035,7 +1035,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         let g = sim.config().ftl.geometry;
                         let _ = writeln!(
                             out,
-                            "snapshot {} (format v{}, payload {} bytes, hash {:016x})",
+                            "snapshot {} (format v{}, payload {} bytes, checksum {:016x})",
                             path.display(),
                             meta.version,
                             meta.payload_len,

@@ -106,10 +106,16 @@ macro_rules! flat_addr {
             }
         }
 
+        // `#[inline]` because dependents build without LTO: these sit
+        // inside the per-page decode loops of ida-ftl's tables.
         impl ida_snap::Snap for $name {
+            const FIXED_WIDTH: Option<usize> = <$repr as ida_snap::Snap>::FIXED_WIDTH;
+
+            #[inline]
             fn encode(&self, w: &mut ida_snap::Writer) {
                 ida_snap::Snap::encode(&self.0, w);
             }
+            #[inline]
             fn decode(r: &mut ida_snap::Reader<'_>) -> Result<Self, ida_snap::SnapError> {
                 Ok($name(<$repr as ida_snap::Snap>::decode(r)?))
             }

@@ -24,9 +24,13 @@ pub struct PageMap {
 }
 
 impl ida_snap::Snap for Lpn {
+    const FIXED_WIDTH: Option<usize> = <u64 as ida_snap::Snap>::FIXED_WIDTH;
+
+    #[inline]
     fn encode(&self, w: &mut ida_snap::Writer) {
         ida_snap::Snap::encode(&self.0, w);
     }
+    #[inline]
     fn decode(r: &mut ida_snap::Reader<'_>) -> Result<Self, ida_snap::SnapError> {
         Ok(Lpn(ida_snap::Snap::decode(r)?))
     }
@@ -182,6 +186,61 @@ mod tests {
         let mut m = PageMap::new(10, 100);
         m.map(Lpn(1), PageAddr(5));
         m.map(Lpn(2), PageAddr(5));
+    }
+
+    /// An encoded option table round-trips through the bulk path, every
+    /// truncation and every bad tag is an `Err`, and a `u64::MAX` length
+    /// is not reserved.
+    fn assert_rejects_hostile<T>(v: Vec<Option<T>>)
+    where
+        T: ida_snap::Snap + PartialEq + fmt::Debug,
+    {
+        use ida_snap::Snap;
+        let bytes = v.to_snap_bytes();
+        assert_eq!(Vec::<Option<T>>::from_snap_bytes(&bytes).unwrap(), v);
+        for cut in 0..bytes.len() {
+            assert!(
+                Vec::<Option<T>>::from_snap_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let mut at = 8;
+        for x in &v {
+            for bad in 2..=u8::MAX {
+                let mut b = bytes.clone();
+                b[at] = bad;
+                let err = Vec::<Option<T>>::from_snap_bytes(&b).unwrap_err();
+                assert!(err.0.contains("bad option tag"), "{err}");
+            }
+            at += if x.is_some() { 9 } else { 1 };
+        }
+        let mut huge = u64::MAX.to_snap_bytes();
+        huge.extend_from_slice(&bytes[8..]);
+        assert!(Vec::<Option<T>>::from_snap_bytes(&huge).is_err());
+    }
+
+    #[test]
+    fn map_tables_bulk_codec_rejects_hostile_input() {
+        assert_rejects_hostile(vec![
+            Some(PageAddr(4)),
+            None,
+            None,
+            Some(PageAddr(u64::MAX)),
+            None,
+            Some(PageAddr(0)),
+        ]);
+        assert_rejects_hostile(vec![None, Some(Lpn(1 << 33)), Some(Lpn(2)), None]);
+    }
+
+    #[test]
+    fn page_map_round_trips() {
+        use ida_snap::Snap;
+        let mut m = PageMap::new(10, 100);
+        m.map(Lpn(1), PageAddr(5));
+        m.map(Lpn(9), PageAddr(99));
+        let back = PageMap::from_snap_bytes(&m.to_snap_bytes()).unwrap();
+        assert_eq!(back.l2p, m.l2p);
+        assert_eq!(back.p2l, m.p2l);
     }
 
     #[test]

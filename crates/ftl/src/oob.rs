@@ -36,7 +36,11 @@ pub enum PageRecord {
     Failed,
 }
 
+/// Widest `PageRecord` encoding: tag, `lpn`, `seq`.
+const PAGE_RECORD_MAX: usize = 1 + 8 + 8;
+
 impl ida_snap::Snap for PageRecord {
+    #[inline]
     fn encode(&self, w: &mut ida_snap::Writer) {
         match self {
             PageRecord::Erased => 0u8.encode(w),
@@ -56,11 +60,38 @@ impl ida_snap::Snap for PageRecord {
                 seq: u64::decode(r)?,
             }),
             2 => Ok(PageRecord::Failed),
-            tag => Err(ida_snap::SnapError::new(format!(
-                "bad PageRecord tag {tag}"
-            ))),
+            tag => Err(bad_page_record_tag(tag)),
         }
     }
+    // The store holds one record per physical page (a million at the
+    // smoke geometry), so decode takes the bulk record path: one bounds
+    // check per record and no buffer besides the output itself. Encode
+    // keeps the default element loop over the inlined `encode` above; a
+    // pass counting `Data` records to reserve the exact size cost more
+    // than the buffer growth it saved.
+    fn decode_vec(
+        len: usize,
+        r: &mut ida_snap::Reader<'_>,
+    ) -> Result<Vec<Self>, ida_snap::SnapError> {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+        r.decode_records(len, PAGE_RECORD_MAX, |w| match w[0] {
+            0 => Ok((PageRecord::Erased, 1)),
+            1 => Ok((
+                PageRecord::Data {
+                    lpn: word(&w[1..9]),
+                    seq: word(&w[9..17]),
+                },
+                PAGE_RECORD_MAX,
+            )),
+            2 => Ok((PageRecord::Failed, 1)),
+            tag => Err(bad_page_record_tag(tag)),
+        })
+    }
+}
+
+#[cold]
+fn bad_page_record_tag(tag: u8) -> ida_snap::SnapError {
+    ida_snap::SnapError::new(format!("bad PageRecord tag {tag}"))
 }
 
 /// Persistent per-block metadata.
@@ -339,6 +370,51 @@ mod tests {
         o.mark_bad(b);
         assert!(o.is_bad(b));
         assert_eq!(o.bad_count(), 1);
+    }
+
+    fn records() -> Vec<PageRecord> {
+        vec![
+            PageRecord::Data { lpn: 7, seq: 0 },
+            PageRecord::Erased,
+            PageRecord::Failed,
+            PageRecord::Data {
+                lpn: u64::MAX,
+                seq: 1 << 40,
+            },
+            PageRecord::Erased,
+            PageRecord::Data { lpn: 3, seq: 9 },
+        ]
+    }
+
+    #[test]
+    fn page_record_bulk_decode_round_trips_and_rejects_hostile_input() {
+        use ida_snap::Snap;
+        let bytes = records().to_snap_bytes();
+        assert_eq!(
+            Vec::<PageRecord>::from_snap_bytes(&bytes).unwrap(),
+            records()
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                Vec::<PageRecord>::from_snap_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        // Tag offsets after the 8-byte length: 17-byte Data, 1-byte others.
+        let tags = [8, 25, 26, 27, 44, 45];
+        for at in tags {
+            for bad in 3..=u8::MAX {
+                let mut b = bytes.clone();
+                b[at] = bad;
+                let err = Vec::<PageRecord>::from_snap_bytes(&b).unwrap_err();
+                assert!(err.0.contains("bad PageRecord tag"), "{err}");
+            }
+        }
+        // A length prefix of u64::MAX over a short stream errors without
+        // reserving that many records.
+        let mut huge = u64::MAX.to_snap_bytes();
+        huge.extend_from_slice(&bytes[8..]);
+        assert!(Vec::<PageRecord>::from_snap_bytes(&huge).is_err());
     }
 
     #[test]

@@ -354,13 +354,11 @@ impl Simulator {
     /// lets the sweep engine run one warm-up and fork every dependent
     /// cell from the cached bytes.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = ida_snap::Writer::new();
-        ida_snap::Snap::encode(self, &mut w);
-        ida_snap::frame::seal(&w.into_bytes())
+        ida_snap::frame::seal_with(|w| ida_snap::Snap::encode(self, w))
     }
 
     /// Rebuild a simulator from [`Simulator::snapshot`] bytes. The frame
-    /// is verified (magic, version, length, content hash) before decode,
+    /// is verified (magic, version, length, checksum) before decode,
     /// so corrupt or stale spill files fail loudly instead of restoring
     /// silently wrong state. Observability (trace sink, gauges, progress)
     /// is reset to off — re-attach after restore as after `new`.

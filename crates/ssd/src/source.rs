@@ -82,14 +82,25 @@ impl ListSource {
     /// [`SimError::UnsortedTrace`](crate::sim::SimError::UnsortedTrace)
     /// naming the first entry that arrives earlier than its predecessor.
     pub fn new(trace: Vec<HostOp>) -> Result<Self, crate::sim::SimError> {
-        if let Some(i) = trace.windows(2).position(|w| w[0].at > w[1].at) {
-            return Err(crate::sim::SimError::UnsortedTrace {
-                index: i + 1,
-                at: trace[i + 1].at,
-                prev: trace[i].at,
-            });
-        }
+        check_sorted(&trace)?;
         Ok(ListSource { trace, next: 0 })
+    }
+}
+
+/// Check that `trace` is sorted by arrival time.
+///
+/// # Errors
+///
+/// [`SimError::UnsortedTrace`](crate::sim::SimError::UnsortedTrace)
+/// naming the first entry that arrives earlier than its predecessor.
+pub fn check_sorted(trace: &[HostOp]) -> Result<(), crate::sim::SimError> {
+    match trace.windows(2).position(|w| w[0].at > w[1].at) {
+        Some(i) => Err(crate::sim::SimError::UnsortedTrace {
+            index: i + 1,
+            at: trace[i + 1].at,
+            prev: trace[i].at,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -201,3 +201,31 @@ fn corrupt_snapshots_are_rejected() {
     nomagic[0] = b'Z';
     assert!(Simulator::from_snapshot(&nomagic).is_err());
 }
+
+/// The payload of a warm image is frozen: frame changes (version,
+/// checksum) must not move a single payload byte, or spill files and
+/// peers of the same version would disagree about what a key holds.
+/// The pinned value is FNV-1a over the payload of a warmed hm_1 Baseline
+/// simulator at the smoke scale with 800 requests, warmed under the seed
+/// the sweep derives for that (workload, system) pair.
+#[test]
+fn warm_image_payload_is_byte_stable() {
+    use ida_bench::runner::{system_config, warmed_simulator, WARM_SEED_BASE};
+    use ida_bench::{ExperimentScale, SystemUnderTest};
+
+    let preset = ida_workloads::suite::paper_workload("hm_1").expect("hm_1 preset");
+    let scale = ExperimentScale::smoke().with_requests(800);
+    let mut cfg = system_config(
+        SystemUnderTest::Baseline,
+        scale.geometry,
+        ida_flash::timing::FlashTiming::paper_tlc(),
+        ida_ssd::retry::RetryConfig::disabled(),
+    );
+    cfg.ftl.seed = ida_sweep::derive_stream_seed(WARM_SEED_BASE, "hm_1/Baseline/r0");
+    let (sim, _) = warmed_simulator(&preset, cfg, &scale);
+    let image = sim.snapshot();
+    let (meta, payload) = ida_snap::frame::open(&image).expect("fresh image opens");
+    assert_eq!(meta.version, ida_snap::frame::VERSION);
+    assert_eq!(payload.len(), 9_952_716);
+    assert_eq!(ida_snap::fnv1a(payload), 0xf488_dac5_f3ee_e580);
+}

@@ -48,10 +48,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Total duration from first to last arrival (ns).
+    /// Total duration from first to last arrival (ns). Saturates at 0
+    /// when the last record arrives before the first — an unsorted trace
+    /// is rejected by the simulator's sources, not by an overflow here.
     pub fn span(&self) -> u64 {
         match (self.records.first(), self.records.last()) {
-            (Some(f), Some(l)) => l.at - f.at,
+            (Some(f), Some(l)) => l.at.saturating_sub(f.at),
             _ => 0,
         }
     }
