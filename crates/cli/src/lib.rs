@@ -5,7 +5,6 @@
 
 pub mod args;
 
-use crate::args::CommonArgs;
 use ida_bench::load::{
     load_metrics_json, nominal_iops, run_capacity, run_load_obs, LoadSpec, CAPACITY_MAX_ITERS,
 };
@@ -25,13 +24,13 @@ use ida_flash::timing::FlashTiming;
 use ida_host::{AdmissionPolicy, ArrivalSpec};
 use ida_obs::json::JsonObj;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::Simulator;
+use ida_ssd::{Report, Simulator};
 use ida_sweep::{derive_stream_seed, SweepConfig};
 use ida_sweep::{SweepOutcome, SweepSpec};
 use ida_workloads::stats::characterize;
-use ida_workloads::suite::{paper_workload, paper_workloads};
+use ida_workloads::suite::{paper_workload, paper_workloads, WorkloadPreset};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Default coordinator address for `serve`/`worker` when neither
 /// `--listen` nor `--connect` is given: loopback, fixed port.
@@ -248,266 +247,75 @@ pub enum Command {
 /// Returns a human-readable message for unknown commands or malformed
 /// values.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("describe") => {
-            let workload = args
-                .get(1)
-                .ok_or("describe needs a workload name (try `idasim list`)")?;
-            Ok(Command::Describe {
-                workload: workload.clone(),
-            })
+    use crate::args::*;
+    let name = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
+        Some(name) => name,
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command: {name} (try `idasim help`)"))?;
+    let a = scan(cmd, &args[1..])?;
+    Ok(match name {
+        "list" => Command::List,
+        "describe" => Command::Describe {
+            workload: a.required(0),
+        },
+        "compare" => Command::Compare {
+            workload: a.required(0),
+            error_rate: a.error_rate()?,
+            requests: a.requests()?.unwrap_or(6_000),
+            trace_out: a.value(TRACE_OUT),
+            metrics_json: a.value(METRICS_JSON),
+            trace_filter: a.trace_filter()?,
+            progress: a.switch(PROGRESS),
+        },
+        "sweep" => Command::Sweep {
+            grid: a.required(0),
+            jobs: a.jobs()?,
+            journal: a.value(JOURNAL),
+            out: a.value(OUT),
+            smoke: a.switch(SMOKE),
+            requests: a.requests()?,
+            progress: a.switch(PROGRESS),
+            warm_cache: a.switch(WARM_CACHE),
+        },
+        "paper" => {
+            let name = a.required(0);
+            paper_experiment(&name)?;
+            Command::Paper { name }
         }
-        Some("compare") => {
-            let workload = args
-                .get(1)
-                .ok_or("compare needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c = CommonArgs::accepting(&[args::REQUESTS, args::PROGRESS]);
-            let mut error_rate = 0.2;
-            let mut trace_out = None;
-            let mut metrics_json = None;
-            let mut trace_filter = None;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--metrics-json" => {
-                        metrics_json = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--metrics-json",
-                            "a path",
-                        )?));
-                    }
-                    "--trace-filter" => {
-                        let spec = args::value(args, &mut i, "--trace-filter", "a class list")?
-                            .to_string();
-                        // Validate eagerly so a typo fails before any run.
-                        ida_obs::trace::parse_trace_filter(&spec)?;
-                        trace_filter = Some(spec);
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            Ok(Command::Compare {
-                workload,
-                error_rate,
-                requests: c.requests.unwrap_or(6_000),
-                trace_out,
-                metrics_json,
-                trace_filter,
-                progress: c.progress,
-            })
-        }
-        Some("sweep") => {
-            let grid = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or_else(|| {
-                    format!(
-                        "sweep needs a grid name (one of: {})",
-                        BUILTIN_GRIDS.join(", ")
-                    )
-                })?
-                .clone();
-            let mut c = CommonArgs::accepting(&[
-                args::JOBS,
-                args::JOURNAL,
-                args::OUT,
-                args::SMOKE,
-                args::REQUESTS,
-                args::PROGRESS,
-            ]);
-            let mut warm_cache = false;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--warm-cache" => {
-                        warm_cache = true;
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Sweep {
-                grid,
-                jobs: c.jobs,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-                progress: c.progress,
-                warm_cache,
-            })
-        }
-        Some("paper") => {
-            let name = args.get(1).ok_or_else(|| {
-                format!(
-                    "paper needs an experiment name (one of: {})",
-                    experiment_names()
-                )
-            })?;
-            paper_experiment(name)?;
-            if let Some(extra) = args.get(2) {
-                return Err(format!("unexpected argument: {extra}"));
-            }
-            Ok(Command::Paper { name: name.clone() })
-        }
-        Some("serve") => {
-            let grid = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or_else(|| {
-                    format!(
-                        "serve needs a grid name (one of: {})",
-                        BUILTIN_GRIDS.join(", ")
-                    )
-                })?
-                .clone();
-            let mut c =
-                CommonArgs::accepting(&[args::JOURNAL, args::OUT, args::SMOKE, args::REQUESTS]);
-            let mut listen = DEFAULT_FABRIC_ADDR.to_string();
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--listen" => {
-                        listen = args::value(args, &mut i, "--listen", "an address")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Serve {
-                grid,
-                listen,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-            })
-        }
-        Some("worker") => {
-            let mut c = CommonArgs::accepting(&[args::JOBS]);
-            let mut connect = DEFAULT_FABRIC_ADDR.to_string();
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--connect" => {
-                        connect = args::value(args, &mut i, "--connect", "an address")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            Ok(Command::Worker {
-                connect,
-                jobs: c.jobs,
-            })
-        }
-        Some("snapshot") => {
-            let action = args
-                .get(1)
-                .filter(|a| matches!(a.as_str(), "save" | "restore" | "inspect"))
-                .ok_or("snapshot needs an action: save, restore, or inspect")?
-                .clone();
-            let path = PathBuf::from(
-                args.get(2)
-                    .filter(|p| !p.starts_with("--"))
-                    .ok_or("snapshot needs a file path after the action")?,
-            );
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::REQUESTS]);
-            let mut workload = None;
-            let mut system = "Baseline".to_string();
-            let mut i = 3;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--workload" => {
-                        workload =
-                            Some(args::value(args, &mut i, "--workload", "a name")?.to_string());
-                    }
-                    "--system" => {
-                        system = args::value(args, &mut i, "--system", "a name")?.to_string();
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
+        "serve" => Command::Serve {
+            grid: a.required(0),
+            listen: a.value_or(LISTEN, DEFAULT_FABRIC_ADDR),
+            journal: a.value(JOURNAL),
+            out: a.value(OUT),
+            smoke: a.switch(SMOKE),
+            requests: a.requests()?,
+        },
+        "worker" => Command::Worker {
+            connect: a.value_or(CONNECT, DEFAULT_FABRIC_ADDR),
+            jobs: a.jobs()?,
+        },
+        "snapshot" => {
+            let (action, requests, workload) = (a.required(0), a.requests()?, a.value(WORKLOAD));
             if action == "save" && workload.is_none() {
                 return Err("snapshot save needs --workload (try `idasim list`)".into());
             }
-            Ok(Command::Snapshot {
+            Command::Snapshot {
                 action,
-                path,
+                path: a.required(1).into(),
                 workload,
-                system,
-                smoke: c.smoke,
-                requests: c.requests,
-            })
-        }
-        Some("soak") => {
-            let workload = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or("soak needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c = CommonArgs::accepting(&[
-                args::JOBS,
-                args::JOURNAL,
-                args::OUT,
-                args::SMOKE,
-                args::REQUESTS,
-                args::PROGRESS,
-            ]);
-            let mut level = "mid".to_string();
-            let mut error_rate = 0.2;
-            let mut epochs = ida_bench::soak::SOAK_EPOCHS;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--level" => {
-                        level = args::value(args, &mut i, "--level", "a value")?.to_string();
-                    }
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--epochs" => {
-                        epochs = args::parsed(args, &mut i, "--epochs", "a value", "epoch count")?;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
+                system: a.value_or(SYSTEM, "Baseline"),
+                smoke: a.switch(SMOKE),
+                requests,
             }
+        }
+        "soak" => {
+            let level = a.value_or(LEVEL, "mid");
+            let error_rate = a.error_rate()?;
+            let epochs = a.parsed(EPOCHS, "epoch count")?;
             // Validate eagerly so a typo fails before hours of soaking.
             if ida_faults::AgingConfig::preset(&level, 0).is_none() {
                 return Err(format!(
@@ -515,104 +323,32 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     ida_faults::AgingConfig::LEVELS.join(", ")
                 ));
             }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            if epochs == 0 {
+            if epochs == Some(0) {
                 return Err("--epochs must be at least 1".into());
             }
-            Ok(Command::Soak {
-                workload,
+            Command::Soak {
+                workload: a.required(0),
                 level,
                 error_rate,
-                epochs,
-                jobs: c.jobs,
-                journal: c.journal,
-                out: c.out,
-                smoke: c.smoke,
-                requests: c.requests,
-                progress: c.progress,
-            })
+                epochs: epochs.unwrap_or(ida_bench::soak::SOAK_EPOCHS),
+                jobs: a.jobs()?,
+                journal: a.value(JOURNAL),
+                out: a.value(OUT),
+                smoke: a.switch(SMOKE),
+                requests: a.requests()?,
+                progress: a.switch(PROGRESS),
+            }
         }
-        Some("load") => {
-            let workload = args
-                .get(1)
-                .filter(|g| !g.starts_with("--"))
-                .ok_or("load needs a workload name (try `idasim list`)")?
-                .clone();
-            let mut c =
-                CommonArgs::accepting(&[args::OUT, args::SMOKE, args::REQUESTS, args::SEED]);
-            let mut error_rate = 0.2;
-            let mut iops = None;
-            let mut arrival = "poisson".to_string();
-            let mut tenants = 1;
-            let mut admission = "shed".to_string();
-            let mut slo_us = 2_000;
-            let mut capacity = false;
-            let mut lo = None;
-            let mut hi = None;
-            let mut trace_out = None;
-            let mut trace_filter = None;
-            let mut i = 2;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--iops" => {
-                        iops = Some(args::parsed(args, &mut i, "--iops", "a value", "IOPS")?);
-                    }
-                    "--arrival" => {
-                        arrival = args::value(args, &mut i, "--arrival", "a shape")?.to_string();
-                    }
-                    "--tenants" => {
-                        tenants =
-                            args::parsed(args, &mut i, "--tenants", "a count", "tenant count")?;
-                    }
-                    "--admission" => {
-                        admission =
-                            args::value(args, &mut i, "--admission", "a policy")?.to_string();
-                    }
-                    "--slo-us" => {
-                        slo_us = args::parsed(args, &mut i, "--slo-us", "a value", "SLO")?;
-                    }
-                    "--capacity" => {
-                        capacity = true;
-                        i += 1;
-                    }
-                    "--lo" => {
-                        lo = Some(args::parsed(args, &mut i, "--lo", "a value", "--lo IOPS")?);
-                    }
-                    "--hi" => {
-                        hi = Some(args::parsed(args, &mut i, "--hi", "a value", "--hi IOPS")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--trace-filter" => {
-                        let spec = args::value(args, &mut i, "--trace-filter", "a class list")?
-                            .to_string();
-                        ida_obs::trace::parse_trace_filter(&spec)?;
-                        trace_filter = Some(spec);
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
+        "load" => {
+            let arrival = a.value_or(ARRIVAL, "poisson");
+            let admission = a.value_or(ADMISSION, "shed");
+            let tenants = a.parsed(TENANTS, "tenant count")?.unwrap_or(1);
+            let slo_us = a.parsed(SLO_US, "SLO")?.unwrap_or(2_000);
+            let (lo, hi) = (a.parsed(LO, "--lo IOPS")?, a.parsed(HI, "--hi IOPS")?);
+            let error_rate = a.error_rate()?;
             // Validate the label spellings eagerly so typos fail fast.
-            ida_host::ArrivalSpec::parse(&arrival)?;
-            ida_host::AdmissionPolicy::parse(&admission)?;
+            ArrivalSpec::parse(&arrival)?;
+            AdmissionPolicy::parse(&admission)?;
             if tenants == 0 {
                 return Err("--tenants must be at least 1".to_string());
             }
@@ -624,158 +360,73 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     return Err(format!("bad capacity bracket [{lo}, {hi}]"));
                 }
             }
-            Ok(Command::Load {
-                workload,
+            // Either bound alone must be positive too: the search asserts it.
+            for (flag, bound) in [(LO, lo), (HI, hi)] {
+                if bound == Some(0) {
+                    return Err(format!("{} must be positive", flag.name));
+                }
+            }
+            Command::Load {
+                workload: a.required(0),
                 error_rate,
-                iops,
+                iops: a.parsed(IOPS, "IOPS")?,
                 arrival,
                 tenants,
                 admission,
                 slo_us,
-                requests: c.requests,
-                smoke: c.smoke,
-                capacity,
+                requests: a.requests()?,
+                smoke: a.switch(SMOKE),
+                capacity: a.switch(CAPACITY),
                 lo,
                 hi,
-                out: c.out,
-                trace_out,
-                trace_filter,
-                seed: c.seed,
-            })
+                out: a.value(OUT),
+                trace_out: a.value(TRACE_OUT),
+                trace_filter: a.trace_filter()?,
+                seed: a.parsed(SEED, "seed")?.unwrap_or(0),
+            }
         }
-        Some("replay") => {
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::PROGRESS]);
-            let mut msr = None;
-            let mut error_rate = 0.2;
-            let mut closed = None;
-            let mut trace_out = None;
-            let mut metrics_json = None;
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--msr" => {
-                        msr = Some(PathBuf::from(args::value(args, &mut i, "--msr", "a path")?));
-                    }
-                    "--error-rate" => {
-                        error_rate =
-                            args::parsed(args, &mut i, "--error-rate", "a value", "error rate")?;
-                    }
-                    "--closed" => {
-                        let depth: usize =
-                            args::parsed(args, &mut i, "--closed", "a queue depth", "queue depth")?;
-                        if depth == 0 {
-                            return Err("--closed queue depth must be positive".to_string());
-                        }
-                        closed = Some(depth);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--trace-out",
-                            "a path",
-                        )?));
-                    }
-                    "--metrics-json" => {
-                        metrics_json = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--metrics-json",
-                            "a path",
-                        )?));
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
-            }
-            let msr = msr.ok_or("replay needs --msr <trace.csv>")?;
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("error rate {error_rate} outside [0, 1]"));
-            }
-            Ok(Command::Replay {
-                msr,
+        "replay" => {
+            let closed = a.checked(CLOSED, |v| match v.parse() {
+                Ok(0) => Err("--closed queue depth must be positive".to_string()),
+                depth => depth.map_err(|e| format!("bad queue depth: {e}")),
+            })?;
+            let error_rate = a.error_rate()?;
+            Command::Replay {
+                msr: a.value(MSR).ok_or("replay needs --msr <trace.csv>")?,
                 error_rate,
                 closed,
-                smoke: c.smoke,
-                trace_out,
-                metrics_json,
-                progress: c.progress,
-            })
+                smoke: a.switch(SMOKE),
+                trace_out: a.value(TRACE_OUT),
+                metrics_json: a.value(METRICS_JSON),
+                progress: a.switch(PROGRESS),
+            }
         }
-        Some("bench") => {
-            let mut c = CommonArgs::accepting(&[args::SMOKE, args::OUT]);
-            let mut baseline = None;
-            let mut i = 1;
-            while i < args.len() {
-                if c.take(args, &mut i)? {
-                    continue;
-                }
-                match args[i].as_str() {
-                    "--baseline" => {
-                        baseline = Some(PathBuf::from(args::value(
-                            args,
-                            &mut i,
-                            "--baseline",
-                            "a path",
-                        )?));
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
+        "bench" => Command::Bench {
+            smoke: a.switch(SMOKE),
+            out: a.value(OUT),
+            baseline: a.value(BASELINE),
+        },
+        "trace" => {
+            let top = a.parsed(TOP, "--top count")?.unwrap_or(5);
+            let file = a.positional(0).map(PathBuf::from);
+            let diff = a
+                .values(DIFF)
+                .map(|v| (PathBuf::from(&v[0]), PathBuf::from(&v[1])));
+            if file.is_none() && diff.is_none() {
+                return Err("trace needs a trace file or --diff <a> <b>".into());
             }
-            Ok(Command::Bench {
-                smoke: c.smoke,
-                out: c.out,
-                baseline,
-            })
-        }
-        Some("trace") => {
-            let mut file = None;
-            let mut validate = false;
-            let mut top = 5;
-            let mut diff = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--validate" => {
-                        validate = true;
-                        i += 1;
-                    }
-                    "--top" => {
-                        top = args::parsed(args, &mut i, "--top", "a count", "--top count")?;
-                    }
-                    "--diff" => {
-                        let a = args.get(i + 1).ok_or("--diff needs two trace paths")?;
-                        let b = args.get(i + 2).ok_or("--diff needs two trace paths")?;
-                        diff = Some((PathBuf::from(a), PathBuf::from(b)));
-                        i += 3;
-                    }
-                    other if !other.starts_with("--") && file.is_none() => {
-                        file = Some(PathBuf::from(other));
-                        i += 1;
-                    }
-                    other => return Err(format!("unknown option: {other}")),
-                }
+            if file.is_some() && diff.is_some() {
+                return Err("trace takes either a trace file or --diff, not both".into());
             }
-            match (&file, &diff) {
-                (None, None) => {
-                    return Err("trace needs a trace file or --diff <a> <b>".to_string())
-                }
-                (Some(_), Some(_)) => {
-                    return Err("trace takes either a trace file or --diff, not both".to_string())
-                }
-                _ => {}
-            }
-            Ok(Command::Trace {
+            Command::Trace {
                 file,
-                validate,
+                validate: a.switch(VALIDATE),
                 top,
                 diff,
-            })
+            }
         }
-        Some(other) => Err(format!("unknown command: {other} (try `idasim help`)")),
-    }
+        _ => unreachable!("{name} is in COMMANDS but has no parser"),
+    })
 }
 
 /// Execute a command, returning the text to print.
@@ -800,7 +451,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Describe { workload } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+            let p = find_workload(&workload)?;
             let trace = p.generate(40_000, 10_000);
             let s = characterize(&trace);
             let _ = writeln!(out, "workload {workload}:");
@@ -837,7 +488,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             trace_filter,
             progress,
         } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+            let p = find_workload(&workload)?;
             let scale = ExperimentScale::default_scale().with_requests(requests);
             let obs = ObsOptions {
                 trace_out,
@@ -849,10 +500,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 trace_filter: trace_filter.or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
             };
             let mut runs = Vec::new();
-            for system in [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ] {
+            for system in both_systems(error_rate) {
                 let run_obs = obs.suffixed(&system.label());
                 runs.push(
                     run_system_obs(&p, system, &scale, &run_obs)
@@ -868,28 +516,22 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     }
                 }
             }
-            let ida = runs.pop().expect("two runs");
-            let base = runs.pop().expect("two runs");
-            let norm = normalized_read_response(&ida.report, &base.report);
+            let (base, ida) = (&runs[0].report, &runs[1].report);
             let _ = writeln!(out, "workload {workload}, {} requests:", requests);
             let _ = writeln!(
                 out,
                 "  baseline  mean read response {:9.1} us  (p99 {:9.1} us)",
-                base.report.reads.mean_us(),
-                base.report.reads.percentile(99.0) as f64 / 1e3
+                base.reads.mean_us(),
+                base.reads.percentile(99.0) as f64 / 1e3
             );
             let _ = writeln!(
                 out,
                 "  IDA-E{:<3.0} mean read response {:9.1} us  (p99 {:9.1} us)",
                 error_rate * 100.0,
-                ida.report.reads.mean_us(),
-                ida.report.reads.percentile(99.0) as f64 / 1e3
+                ida.reads.mean_us(),
+                ida.reads.percentile(99.0) as f64 / 1e3
             );
-            let _ = writeln!(
-                out,
-                "  normalized: {norm:.3}  (read response improved by {:.1}%)",
-                (1.0 - norm) * 100.0
-            );
+            write_normalized(&mut out, base, ida);
         }
         Command::Sweep {
             grid,
@@ -903,16 +545,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
         } => {
             let spec = grid_spec(&grid)?;
             let scale = scale_for(smoke, requests);
-            // Environment supplies defaults (IDA_JOBS, IDA_JOURNAL);
-            // explicit flags win.
-            let mut cfg = SweepConfig::from_env()?;
-            if let Some(j) = jobs {
-                cfg.jobs = j;
-            }
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
-            cfg.progress = progress;
+            let mut cfg = sweep_config(jobs, journal, progress)?;
             if warm_cache {
                 cfg = cfg.with_warm_cache();
             }
@@ -940,10 +573,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
         } => {
             let spec = grid_spec(&grid)?;
             let scale = scale_for(smoke, requests);
-            let mut cfg = SweepConfig::from_env()?;
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
+            let cfg = sweep_config(None, journal, false)?;
             let listener = std::net::TcpListener::bind(&listen)
                 .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
             // stderr, like fabric events: the aggregate owns stdout.
@@ -983,7 +613,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             match action.as_str() {
                 "save" => {
                     let workload = workload.expect("parse_args requires --workload for save");
-                    let preset = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+                    let preset = find_workload(&workload)?;
                     let mut cfg = system_config(
                         system_spec,
                         scale.geometry,
@@ -1004,8 +634,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                         ida_snap::Snap::encode(&sim.snapshot(), w);
                     });
                     let bytes = framed.len();
-                    std::fs::write(&path, framed)
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                    write_file(&path, framed)?;
                     let _ = writeln!(
                         out,
                         "saved warm state for {workload}/{system} (cache key {key:016x}, \
@@ -1063,8 +692,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                             sim.config().ftl.exported_pages()
                         );
                     } else {
-                        let preset = paper_workload(&saved_workload)
-                            .ok_or_else(|| unknown(&saved_workload))?;
+                        let preset = find_workload(&saved_workload)?;
                         let requests =
                             requests.unwrap_or(usize::try_from(saved_requests).unwrap_or(0));
                         let footprint = ((sim.config().ftl.exported_pages() as f64
@@ -1107,26 +735,16 @@ pub fn run(cmd: Command) -> Result<String, String> {
             requests,
             progress,
         } => {
-            paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+            find_workload(&workload)?;
             let scale = scale_for(smoke, requests);
-            let mut cfg = SweepConfig::from_env()?;
-            if let Some(j) = jobs {
-                cfg.jobs = j;
-            }
-            if journal.is_some() {
-                cfg.journal = journal;
-            }
-            cfg.progress = progress;
+            let cfg = sweep_config(jobs, journal, progress)?;
             // Two cells — Baseline and the IDA system — run through the
             // sweep engine, so parallelism, journaling, and byte-identical
             // aggregation come from the same machinery as `sweep`.
             let spec = SweepSpec::new(
                 "soak",
                 vec![workload.clone()],
-                vec![
-                    SystemUnderTest::Baseline.label(),
-                    SystemUnderTest::Ida { error_rate }.label(),
-                ],
+                both_systems(error_rate).map(|s| s.label()).to_vec(),
             )
             .with_axis("aging", vec![level.clone()]);
             let cells = spec.cells();
@@ -1174,8 +792,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 );
             }
             if let Some(path) = out_path {
-                std::fs::write(&path, outcome.aggregate_json() + "\n")
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                write_file(&path, outcome.aggregate_json() + "\n")?;
                 let _ = writeln!(out, "wrote aggregate to {}", path.display());
             }
         }
@@ -1199,8 +816,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             };
             match out_path {
                 Some(path) => {
-                    std::fs::write(&path, json + "\n")
-                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                    write_file(&path, json + "\n")?;
                     out.push_str(&result.render_table());
                     let _ = writeln!(out, "wrote benchmark JSON to {}", path.display());
                 }
@@ -1229,16 +845,12 @@ pub fn run(cmd: Command) -> Result<String, String> {
             trace_filter,
             seed,
         } => {
-            let p = paper_workload(&workload).ok_or_else(|| unknown(&workload))?;
+            let p = find_workload(&workload)?;
             let scale = scale_for(smoke, requests);
             let arrival = ArrivalSpec::parse(&arrival)?;
             let admission = AdmissionPolicy::parse(&admission)?;
             let slo_ns = slo_us * 1_000;
             let nominal = nominal_iops(&p.spec);
-            let systems = [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ];
             let obs = ObsOptions {
                 trace_out,
                 trace_filter: trace_filter.or_else(|| std::env::var("IDA_TRACE_FILTER").ok()),
@@ -1259,7 +871,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     .u64("slo_p99_ns", slo_ns)
                     .u64("lo", lo)
                     .u64("hi", hi);
-                for system in systems {
+                for system in both_systems(error_rate) {
                     let r = run_capacity(
                         &p,
                         system,
@@ -1295,7 +907,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     .str("workload", &workload)
                     .u64("offered_iops", offered)
                     .u64("nominal_iops", nominal);
-                for system in systems {
+                for system in both_systems(error_rate) {
                     let spec = LoadSpec {
                         system,
                         arrival,
@@ -1328,8 +940,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 doc.finish()
             };
             if let Some(path) = out_path {
-                std::fs::write(&path, json + "\n")
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                write_file(&path, json + "\n")?;
                 let _ = writeln!(out, "wrote load JSON to {}", path.display());
             }
         }
@@ -1374,10 +985,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 }
             );
             let mut reports = Vec::new();
-            for system in [
-                SystemUnderTest::Baseline,
-                SystemUnderTest::Ida { error_rate },
-            ] {
+            for system in both_systems(error_rate) {
                 let run_obs = obs.suffixed(&system.label());
                 let report = replay_trace(&trace, system, &scale, mode, &run_obs)
                     .map_err(|e| format!("replay failed: {e}"))?;
@@ -1391,14 +999,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 );
                 reports.push(report);
             }
-            let ida = reports.pop().expect("two runs");
-            let base = reports.pop().expect("two runs");
-            let norm = normalized_read_response(&ida, &base);
-            let _ = writeln!(
-                out,
-                "  normalized: {norm:.3}  (read response improved by {:.1}%)",
-                (1.0 - norm) * 100.0
-            );
+            write_normalized(&mut out, &reports[0], &reports[1]);
         }
         Command::Trace {
             file,
@@ -1424,8 +1025,28 @@ pub fn run(cmd: Command) -> Result<String, String> {
     Ok(out)
 }
 
-fn unknown(workload: &str) -> String {
-    format!("unknown workload {workload} (try `idasim list`)")
+/// Append the closing line of a Baseline-vs-IDA comparison.
+fn write_normalized(out: &mut String, base: &Report, ida: &Report) {
+    let norm = normalized_read_response(ida, base);
+    let _ = writeln!(
+        out,
+        "  normalized: {norm:.3}  (read response improved by {:.1}%)",
+        (1.0 - norm) * 100.0
+    );
+}
+
+/// Baseline and the IDA system at `error_rate`, in report order.
+fn both_systems(error_rate: f64) -> [SystemUnderTest; 2] {
+    [
+        SystemUnderTest::Baseline,
+        SystemUnderTest::Ida { error_rate },
+    ]
+}
+
+/// Look up a paper workload by name.
+fn find_workload(workload: &str) -> Result<WorkloadPreset, String> {
+    paper_workload(workload)
+        .ok_or_else(|| format!("unknown workload {workload} (try `idasim list`)"))
 }
 
 /// The experiment scale a `--smoke`/`--requests` pair selects: the smoke
@@ -1448,6 +1069,11 @@ fn experiment_names() -> String {
     EXPERIMENTS.map(|(name, _)| name).join(", ")
 }
 
+/// The built-in sweep grid names, comma-separated, for error messages.
+fn grid_names() -> String {
+    BUILTIN_GRIDS.join(", ")
+}
+
 /// Look up a paper experiment by name.
 fn paper_experiment(name: &str) -> Result<fn(&ExperimentScale) -> String, String> {
     experiment(name)
@@ -1456,12 +1082,27 @@ fn paper_experiment(name: &str) -> Result<fn(&ExperimentScale) -> String, String
 
 /// Look up a built-in sweep grid by name.
 fn grid_spec(grid: &str) -> Result<SweepSpec, String> {
-    builtin_grid(grid).ok_or_else(|| {
-        format!(
-            "unknown sweep grid {grid} (one of: {})",
-            BUILTIN_GRIDS.join(", ")
-        )
-    })
+    builtin_grid(grid)
+        .ok_or_else(|| format!("unknown sweep grid {grid} (one of: {})", grid_names()))
+}
+
+/// The sweep engine's configuration: the environment supplies the
+/// defaults (`IDA_JOBS`, `IDA_JOURNAL`) and explicit flags win.
+fn sweep_config(
+    jobs: Option<usize>,
+    journal: Option<PathBuf>,
+    progress: bool,
+) -> Result<SweepConfig, String> {
+    let mut cfg = SweepConfig::from_env()?;
+    cfg.jobs = jobs.unwrap_or(cfg.jobs);
+    cfg.journal = journal.or(cfg.journal);
+    cfg.progress = progress;
+    Ok(cfg)
+}
+
+/// Write an output file, naming the path on failure.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Emit a finished grid's aggregate: with `--out`, write the JSON there
@@ -1476,8 +1117,7 @@ fn write_aggregate(
     let json = outcome.aggregate_json();
     match out_path {
         Some(path) => {
-            std::fs::write(&path, json + "\n")
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            write_file(&path, json + "\n")?;
             out.push_str(&render(outcome)?);
             let _ = writeln!(
                 out,
@@ -1674,6 +1314,11 @@ mod tests {
                 progress: false,
             }
         );
+        // A flag is never taken as the workload.
+        assert_eq!(
+            parse_args(&s(&["compare", "--requests", "5"])).unwrap_err(),
+            "compare needs a workload name (try `idasim list`)"
+        );
     }
 
     #[test]
@@ -1746,6 +1391,10 @@ mod tests {
         assert!(parse_args(&s(&["trace", "t.jsonl", "--diff", "a", "b"])).is_err());
         assert!(parse_args(&s(&["trace", "--diff", "a.jsonl"])).is_err());
         assert!(parse_args(&s(&["trace", "t.jsonl", "--bogus"])).is_err());
+        assert_eq!(
+            parse_args(&s(&["trace", "--diff", "a.jsonl", "--validate"])).unwrap_err(),
+            "--diff needs two trace paths"
+        );
     }
 
     #[test]
@@ -1754,6 +1403,14 @@ mod tests {
         assert!(parse_args(&s(&["frobnicate"])).is_err());
         assert!(parse_args(&s(&["compare", "proj_1", "--error-rate", "2.0"])).is_err());
         assert!(parse_args(&s(&["compare", "proj_1", "--bogus"])).is_err());
+        assert_eq!(
+            parse_args(&s(&["describe", "hm_1", "--bogus"])).unwrap_err(),
+            "unexpected argument: --bogus"
+        );
+        assert_eq!(
+            parse_args(&s(&["list", "extra"])).unwrap_err(),
+            "unexpected argument: extra"
+        );
     }
 
     #[test]
@@ -1798,6 +1455,10 @@ mod tests {
                 progress: false,
                 warm_cache: false,
             }
+        );
+        assert_eq!(
+            parse_args(&s(&["sweep", "fig8", "--out", "--smoke"])).unwrap_err(),
+            "--out needs a path"
         );
     }
 
@@ -1845,6 +1506,10 @@ mod tests {
         assert!(parse_args(&s(&["snapshot", "diff", "warm.snap"])).is_err());
         assert!(parse_args(&s(&["snapshot", "inspect"])).is_err());
         assert!(parse_args(&s(&["snapshot", "inspect", "--smoke"])).is_err());
+        assert_eq!(
+            parse_args(&s(&["snapshot", "save", "x.snap", "--workload", "--smoke"])).unwrap_err(),
+            "--workload needs a name"
+        );
     }
 
     #[test]
@@ -2151,6 +1816,15 @@ mod tests {
         assert!(parse_args(&s(&["load", "proj_3", "--error-rate", "1.5"])).is_err());
         assert!(parse_args(&s(&["load", "proj_3", "--lo", "500", "--hi", "100"])).is_err());
         assert!(parse_args(&s(&["load", "proj_3", "--bogus"])).is_err());
+        // A zero bound alone would reach the capacity search's assertion.
+        assert_eq!(
+            parse_args(&s(&["load", "proj_3", "--capacity", "--lo", "0"])).unwrap_err(),
+            "--lo must be positive"
+        );
+        assert_eq!(
+            parse_args(&s(&["load", "proj_3", "--capacity", "--hi", "0"])).unwrap_err(),
+            "--hi must be positive"
+        );
     }
 
     #[test]
@@ -2201,6 +1875,49 @@ mod tests {
         assert!(USAGE.contains("idasim worker"));
         assert!(USAGE.contains("--connect"));
         assert!(USAGE.contains("idasim paper <experiment>"));
+    }
+
+    #[test]
+    fn usage_synopsis_matches_the_flag_table() {
+        // Each subcommand's synopsis lines (continuations included).
+        let synopsis = |name: &str| {
+            let mut text = String::new();
+            let mut inside = false;
+            let lines = USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1);
+            for line in lines.take_while(|l| !l.is_empty()) {
+                if let Some(rest) = line.strip_prefix("  idasim ") {
+                    inside = rest.split(' ').next() == Some(name);
+                }
+                if inside {
+                    text.push_str(line);
+                    text.push(' ');
+                }
+            }
+            text
+        };
+        for cmd in args::COMMANDS {
+            let text = synopsis(cmd.name);
+            assert!(!text.is_empty(), "usage lacks idasim {}", cmd.name);
+            let advertised: Vec<&str> = text
+                .split([' ', '[', ']'])
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            for flag in cmd.flags {
+                assert!(
+                    advertised.contains(&flag.name),
+                    "usage of {} lacks {}",
+                    cmd.name,
+                    flag.name
+                );
+            }
+            for word in advertised {
+                assert!(
+                    cmd.flags.iter().any(|f| f.name == word),
+                    "usage of {} advertises {word}, which it does not accept",
+                    cmd.name
+                );
+            }
+        }
     }
 
     #[test]
