@@ -9,6 +9,10 @@
 //!    cycle (IDA-converting eligible wordlines when the system under test
 //!    uses IDA), with staggered timestamps so the next cycle trickles in;
 //! 4. **Measure**: replay the timed trace and collect the report.
+//!
+//! Steps 1–2 are the warm-up's first stage ([`warm_stage1`]), step 3 its
+//! second ([`warm_stage2`]). Only the second reads the system under test,
+//! so a warm cache shares the first across systems.
 
 use ida_core::refresh::RefreshMode;
 use ida_faults::FaultConfig;
@@ -20,7 +24,7 @@ use ida_ssd::retry::RetryConfig;
 use ida_ssd::{
     ClosedLoopSource, HostOp, HostOpKind, ListSource, Report, SimError, Simulator, SsdConfig,
 };
-use ida_sweep::WarmCache;
+use ida_sweep::{Lookup, Stage, WarmCache};
 use ida_workloads::suite::WorkloadPreset;
 use ida_workloads::trace::{OpKind, Trace};
 use std::path::{Path, PathBuf};
@@ -468,19 +472,37 @@ pub fn warm_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) 
     ida_snap::fnv1a(&w.into_bytes())
 }
 
-/// [`warmed_simulator`] through an optional warm-state cache: the first
-/// caller per [`warm_cache_key`] runs the warm-up live and snapshots the
-/// result; everyone else forks from the captured bytes. The measured
-/// trace is regenerated directly from the preset (a pure function of
-/// workload, footprint and request count), so a hit touches no
-/// simulator at all until the fork.
+/// The cache key of a warm-up's first stage ([`warm_stage1`]):
+/// [`warm_cache_key`] of the configuration with its late-bound fields
+/// ([`SsdConfig::with_late_bound_fields`]) normalized, so every system,
+/// timing and retry model of a workload shares it, hashed again under a
+/// tag so it never equals a complete warm-up's key.
+pub fn stage1_cache_key(workload: &str, cfg: &SsdConfig, scale: &ExperimentScale) -> u64 {
+    let shared = cfg
+        .clone()
+        .with_late_bound_fields(&SsdConfig::paper_baseline());
+    let mut w = ida_snap::Writer::new();
+    ida_snap::Snap::encode(&"stage 1".to_string(), &mut w);
+    ida_snap::Snap::encode(&warm_cache_key(workload, &shared, scale), &mut w);
+    ida_snap::fnv1a(&w.into_bytes())
+}
+
+/// [`warmed_simulator`] through an optional warm-state cache, in two
+/// stages. A cell whose complete warm state ([`warm_cache_key`]) is
+/// cached forks it. Otherwise it forks the workload's first stage
+/// ([`stage1_cache_key`], prefill and aging, shared by every system,
+/// timing and retry model) or builds it,
+/// [retargets](Simulator::retarget) it to its own configuration and runs
+/// the second stage live. The measured trace is a pure function of
+/// workload, footprint and request count, so a hit regenerates it and
+/// touches no simulator until the fork.
 ///
-/// The miss path keeps the simulator it just warmed instead of restoring
-/// from its own snapshot: the snapshot canonical-form invariant (restore
-/// → run is byte-identical to keep running, proven by the differential
-/// tests in `ida-ssd`) makes the live simulator and the fork
-/// interchangeable, and skipping the self-restore avoids a multi-MB
-/// decode per unique warm-up.
+/// Which images are captured follows the plan of the sweep round running
+/// the cell ([`crate::sweep::planned_reads`]): an image no later cell
+/// reads is never captured. Either way the result is byte-identical to
+/// [`warmed_simulator`]: restore → run equals keep running (the snapshot
+/// differential tests in `ida-ssd`), and a retargeted first stage equals
+/// one built under the cell's own configuration.
 pub fn warmed_simulator_cached(
     preset: &WorkloadPreset,
     cfg: SsdConfig,
@@ -490,39 +512,93 @@ pub fn warmed_simulator_cached(
     let Some(cache) = warm else {
         return warmed_simulator(preset, cfg, scale);
     };
+    let plan = crate::sweep::planned_reads();
     let key = warm_cache_key(&preset.spec.name, &cfg, scale);
-    let mut live = None;
-    let snap = cache.get_or_build(key, || {
-        let (sim, _) = warmed_simulator(preset, cfg.clone(), scale);
-        let bytes = sim.snapshot();
-        live = Some(sim);
-        bytes
-    });
-    let sim = live.unwrap_or_else(|| {
-        Simulator::from_snapshot(&snap)
-            .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"))
-    });
-    let footprint = ((cfg.ftl.exported_pages() as f64 * preset.footprint_frac) as u64).max(1_000);
-    let trace = preset.generate(footprint, scale.requests);
-    (sim, trace)
+    match cache.lookup(key, Stage::Two, plan.map(|p| p.stage2)) {
+        Lookup::Hit(image) => {
+            let sim = fork(&image, key);
+            let exported = cfg.ftl.exported_pages();
+            let trace = preset.generate(footprint(exported, preset), scale.requests);
+            (sim, trace)
+        }
+        Lookup::Build(claim) => {
+            let mut sim = stage1_simulator(preset, cfg, scale, cache, plan.map(|p| p.stage1));
+            let trace = warm_stage2(&mut sim, preset, scale);
+            let image = claim.wants_image().then(|| sim.snapshot());
+            claim.finish(image);
+            (sim, trace)
+        }
+    }
+}
+
+/// A simulator through [`warm_stage1`] under `cfg`: forked from the
+/// cached first stage and retargeted, or built live (and captured when
+/// the cache wants it).
+fn stage1_simulator(
+    preset: &WorkloadPreset,
+    cfg: SsdConfig,
+    scale: &ExperimentScale,
+    cache: &WarmCache,
+    planned: Option<u64>,
+) -> Simulator {
+    let key = stage1_cache_key(&preset.spec.name, &cfg, scale);
+    match cache.lookup(key, Stage::One, planned) {
+        Lookup::Hit(image) => {
+            let mut sim = fork(&image, key);
+            sim.retarget(&cfg)
+                .unwrap_or_else(|e| panic!("stage-1 image {key:016x} cannot be retargeted: {e}"));
+            sim
+        }
+        Lookup::Build(claim) => {
+            let mut sim = Simulator::new(cfg);
+            warm_stage1(&mut sim, preset);
+            let image = claim.wants_image().then(|| sim.snapshot());
+            claim.finish(image);
+            sim
+        }
+    }
+}
+
+fn fork(image: &[u8], key: u64) -> Simulator {
+    Simulator::from_snapshot(image)
+        .unwrap_or_else(|e| panic!("warm snapshot for key {key:016x} failed to restore: {e}"))
+}
+
+/// The footprint the warm-up protocol writes, in pages.
+fn footprint(exported_pages: u64, preset: &WorkloadPreset) -> u64 {
+    ((exported_pages as f64 * preset.footprint_frac) as u64).max(1_000)
 }
 
 /// Run the warm-up protocol on an existing simulator (so observability
 /// sinks attached at creation see the warm-up events too) and return the
-/// measured trace.
+/// measured trace: [`warm_stage1`], then [`warm_stage2`].
 pub fn warm_up(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
-    let exported = sim.ftl().exported_pages();
-    let footprint = ((exported as f64 * preset.footprint_frac) as u64).max(1_000);
+    warm_stage1(sim, preset);
+    warm_stage2(sim, preset, scale)
+}
 
-    // 1. Prefill the footprint.
+/// Stage 1 of the warm-up: prefill the footprint, then age it with
+/// update traffic (layout history and wear). Untimed, and reads none of
+/// the late-bound fields ([`SsdConfig::with_late_bound_fields`]), so one
+/// run serves every system, timing and retry model of a workload.
+pub fn warm_stage1(sim: &mut Simulator, preset: &WorkloadPreset) {
+    let footprint = footprint(sim.ftl().exported_pages(), preset);
     sim.prefill(0..footprint);
-    // 2. Age with update traffic (layout history + wear).
     let aging = to_host_ops(&preset.aging_trace(footprint));
     sim.age(&aging);
-    // 3. Steady-state refresh to the fixed point: two refresh cycles with
-    //    update traffic in between, so blocks that absorbed the first
-    //    cycle's migrated pages have been through their own refresh too —
-    //    the state a long-lived device reaches after many periods.
+}
+
+/// Stage 2 of the warm-up, from its first refresh on; returns the
+/// measured trace, whose span sets the refresh period.
+///
+/// Two refresh cycles run with update traffic in between, so blocks that
+/// absorbed the first cycle's migrated pages have been through their own
+/// refresh too (the state a long-lived device reaches after many
+/// periods). A final re-age leaves updates accumulated since the last
+/// cycle, so the window opens with partially invalidated blocks (paper
+/// Table IV).
+pub fn warm_stage2(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentScale) -> Trace {
+    let footprint = footprint(sim.ftl().exported_pages(), preset);
     let trace = preset.generate(footprint, scale.requests);
     let span = trace.span().max(1);
     let period = (span as f64 * scale.refresh_period_frac) as SimTime;
@@ -531,8 +607,6 @@ pub fn warm_up(sim: &mut Simulator, preset: &WorkloadPreset, scale: &ExperimentS
     let reage1 = to_host_ops(&preset.reage_trace(footprint));
     sim.age(&reage1);
     sim.force_refresh_all(span / 2);
-    // 4. Re-age: updates accumulate between refresh cycles, so the window
-    //    opens with partially invalidated blocks (paper Table IV).
     let reage2 = to_host_ops(&preset.reage_trace2(footprint));
     sim.age(&reage2);
     trace

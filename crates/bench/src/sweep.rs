@@ -26,7 +26,7 @@ use ida_flash::timing::FlashTiming;
 use ida_host::ArrivalSpec;
 use ida_obs::json::JsonObj;
 use ida_ssd::retry::RetryConfig;
-use ida_ssd::Report;
+use ida_ssd::{Report, SsdConfig};
 use ida_sweep::{derive_stream_seed, jsonv, Cell, SweepConfig, SweepOutcome, SweepSpec, WarmCache};
 use ida_workloads::suite::{paper_workload, paper_workloads};
 
@@ -200,9 +200,31 @@ pub const WARM_EXCLUDED_AXES: [&str; 4] = ["faults", "aging", "load", "replay"];
 /// A cell's warm identity: its ID with the [`WARM_EXCLUDED_AXES`]
 /// parameters removed.
 pub fn warm_id(cell: &Cell) -> String {
-    let mut id = format!("{}/{}", cell.workload, cell.system);
+    identity(cell, true, &WARM_EXCLUDED_AXES)
+}
+
+/// The axes excluded from a cell's stage-1 identity besides the system:
+/// the post-warm-up axes, `dtr_us` and `phase`, which reach the warm-up
+/// only through late-bound fields (flash timing and retry model; see
+/// [`SsdConfig::with_late_bound_fields`]).
+pub const STAGE1_EXCLUDED_AXES: [&str; 6] =
+    ["faults", "aging", "load", "replay", "dtr_us", "phase"];
+
+/// A cell's stage-1 identity: its [`warm_id`] without the system,
+/// `dtr_us` and `phase`. Cells sharing it share one prefill and aging
+/// pass ([`crate::runner::warm_stage1`]) under a warm cache.
+pub fn stage1_id(cell: &Cell) -> String {
+    identity(cell, false, &STAGE1_EXCLUDED_AXES)
+}
+
+fn identity(cell: &Cell, with_system: bool, excluded: &[&str]) -> String {
+    let mut id = cell.workload.clone();
+    if with_system {
+        id.push('/');
+        id.push_str(&cell.system);
+    }
     for (k, v) in &cell.params {
-        if WARM_EXCLUDED_AXES.contains(&k.as_str()) {
+        if excluded.contains(&k.as_str()) {
             continue;
         }
         id.push('/');
@@ -212,6 +234,40 @@ pub fn warm_id(cell: &Cell) -> String {
     }
     id.push_str(&format!("/r{}", cell.replicate));
     id
+}
+
+/// The warm cache's planned reads of the running cell's images.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedReads {
+    /// Reads of its complete warm state: one per pending cell with the
+    /// same [`warm_id`].
+    pub stage2: u64,
+    /// Reads of its first stage: one per distinct [`warm_id`] among the
+    /// pending cells with the same [`stage1_id`], since each builds its
+    /// complete warm state from the first stage once.
+    pub stage1: u64,
+}
+
+/// The planned reads of the running cell's warm images, counted over the
+/// round the sweep pool is running ([`ida_sweep::round_context`]);
+/// `None` outside one, which makes the cache capture everything.
+pub fn planned_reads() -> Option<PlannedReads> {
+    let round = ida_sweep::round_context()?;
+    let warm = warm_id(round.current());
+    let stage1 = stage1_id(round.current());
+    let mut stage2 = 0;
+    let mut group = std::collections::BTreeSet::new();
+    for cell in round.pending() {
+        if stage1_id(cell) == stage1 {
+            let id = warm_id(cell);
+            stage2 += u64::from(id == warm);
+            group.insert(id);
+        }
+    }
+    Some(PlannedReads {
+        stage2,
+        stage1: group.len() as u64,
+    })
 }
 
 /// The warm-phase simulator seed of a cell — a pure function of its
@@ -264,6 +320,23 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
         );
         return soak_metrics_json(&run);
     }
+    let (cfg, mode, faults) = replay_setup(cell, scale);
+    let report = run_config_faulted_cached(&preset, cfg, scale, mode, faults, warm);
+    metrics_json(&report)
+}
+
+/// A replay cell's device configuration (warm seed applied), replay mode
+/// and armed fault plan, as [`run_cell_cached`] runs it: every built-in
+/// grid but `load` and `lifetime`.
+///
+/// # Panics
+///
+/// Panics on unknown system labels or malformed parameters.
+pub fn replay_setup(
+    cell: &Cell,
+    scale: &ExperimentScale,
+) -> (SsdConfig, ReplayMode, Option<FaultConfig>) {
+    let system = parse_system(&cell.system).unwrap_or_else(|e| panic!("{e}"));
     let mut timing = FlashTiming::paper_tlc();
     if let Some(d) = cell.param("dtr_us") {
         let d: u64 = d
@@ -287,12 +360,11 @@ pub fn run_cell_cached(cell: &Cell, scale: &ExperimentScale, warm: Option<&WarmC
             .unwrap_or_else(|| panic!("unknown fault level {level:?}"))
     });
     let mut cfg = system_config(system, scale.geometry, timing, retry);
-    cfg.ftl.seed = warm_seed;
+    cfg.ftl.seed = warm_seed_for(cell);
     if faults.is_some() {
         cfg.ftl.spare_blocks_per_plane = FAULT_SPARES_PER_PLANE;
     }
-    let report = run_config_faulted_cached(&preset, cfg, scale, mode, faults, warm);
-    metrics_json(&report)
+    (cfg, mode, faults)
 }
 
 /// Run a grid on the engine: expand the spec, execute every cell at

@@ -3,10 +3,12 @@
 //! running it cache-off — at any worker count — while executing strictly
 //! fewer warm-ups than cells.
 
-use ida_bench::runner::ExperimentScale;
-use ida_bench::sweep::{run_grid, warm_id, warm_seed_for};
-use ida_sweep::{SweepConfig, SweepSpec};
+use ida_bench::runner::{system_config, warmed_simulator_cached, ExperimentScale};
+use ida_bench::sweep::{run_cell_cached, run_grid, warm_id, warm_seed_for};
+use ida_bench::SystemUnderTest;
+use ida_sweep::{run_cells, SweepConfig, SweepOutcome, SweepSpec, WarmCache};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A faults grid small enough for a test: one workload, both systems,
 /// every fault level (including `off` and the power-loss-scheduling
@@ -125,4 +127,110 @@ fn warm_identity_strips_exactly_the_post_warmup_axes() {
         .with_axis("dtr_us", vec!["30".into(), "70".into()]);
     let ids: HashSet<String> = fig9.cells().iter().map(warm_id).collect();
     assert_eq!(ids.len(), 2, "dtr_us must stay in the warm identity");
+}
+
+/// A fig8 grid small enough for a test: one workload, three systems.
+fn mini_fig8_grid() -> SweepSpec {
+    SweepSpec::new(
+        "fig8",
+        vec!["proj_3".into()],
+        vec!["Baseline".into(), "IDA-E0".into(), "IDA-E40".into()],
+    )
+}
+
+#[test]
+fn fig8_round_captures_only_the_shared_stage1_image() {
+    let spec = mini_fig8_grid();
+    let scale = tiny_scale();
+    let off = run_grid(&spec, &scale, &SweepConfig::serial()).expect("cache-off run");
+    let cfg = SweepConfig::serial().with_warm_cache();
+    let on = run_grid(&spec, &scale, &cfg).expect("cache-on run");
+    assert_eq!(off.aggregate_json(), on.aggregate_json());
+
+    let cache = cfg.warm_cache().unwrap();
+    let (warm, stage) = (cache.stats(), cache.stage_stats());
+    // Every system has its own complete warm state, read once: built,
+    // never captured. The three share one prefill and aging pass.
+    assert_eq!(warm.misses, 3);
+    assert_eq!(warm.total_hits(), 0);
+    assert_eq!((stage.stage1_builds, stage.stage1_forks), (1, 2));
+    assert_eq!(stage.captured, 1, "only the stage-1 image is captured");
+    assert_eq!(stage.dropped, 1);
+    assert!(
+        cache.images_held() <= 1,
+        "{} images held",
+        cache.images_held()
+    );
+}
+
+#[test]
+fn faults_round_drops_every_image_after_its_last_reader() {
+    let cfg = SweepConfig::serial().with_warm_cache();
+    let out = run_grid(&mini_faults_grid(), &tiny_scale(), &cfg).expect("cache-on run");
+    assert_eq!(out.failed_count(), 0);
+    let cache = cfg.warm_cache().unwrap();
+    let stage = cache.stage_stats();
+    // Two complete warm states (one per system, four readers each) and
+    // the stage-1 image they were both built from.
+    assert_eq!(stage.captured, 3);
+    assert_eq!(stage.dropped, 3);
+    assert_eq!(cache.images_held(), 0);
+}
+
+#[test]
+fn a_cell_retried_after_its_image_was_dropped_rebuilds_it() {
+    let spec = mini_faults_grid();
+    let scale = tiny_scale();
+    let off = run_grid(&spec, &scale, &SweepConfig::serial()).expect("cache-off run");
+
+    // The last cell of the grid is the last reader of its system's
+    // warm state (and of the shared stage-1 image): fail it once after
+    // it ran, so its retry finds both dropped.
+    let cells = spec.cells();
+    let last = cells.last().unwrap().id();
+    let cfg = SweepConfig::serial().with_warm_cache();
+    let failed_once = AtomicBool::new(false);
+    let outcomes = run_cells(&spec.name, &cells, &cfg, |cell| {
+        let payload = run_cell_cached(cell, &scale, cfg.warm_cache());
+        if cell.id() == last && !failed_once.swap(true, Ordering::SeqCst) {
+            panic!("injected failure after the cell ran");
+        }
+        payload
+    })
+    .expect("cache-on run");
+    assert_eq!(outcomes.last().unwrap().attempts, 2);
+    let on = SweepOutcome {
+        sweep: spec.name.clone(),
+        outcomes,
+    };
+    assert_eq!(off.aggregate_json(), on.aggregate_json());
+
+    let cache = cfg.warm_cache().unwrap();
+    assert_eq!(cache.stats().misses, 3, "the retry rebuilds the warm state");
+    assert_eq!(cache.stage_stats().stage1_builds, 2, "and its first stage");
+    assert_eq!(cache.images_held(), 0);
+}
+
+#[test]
+fn a_bare_cache_outside_a_round_captures_every_key() {
+    let preset = ida_workloads::suite::paper_workload("proj_3").unwrap();
+    let scale = tiny_scale();
+    let cache = WarmCache::new(None);
+    for system in [
+        SystemUnderTest::Baseline,
+        SystemUnderTest::Ida { error_rate: 0.2 },
+    ] {
+        let cfg = system_config(
+            system,
+            scale.geometry,
+            ida_flash::timing::FlashTiming::paper_tlc(),
+            ida_ssd::retry::RetryConfig::disabled(),
+        );
+        warmed_simulator_cached(&preset, cfg, &scale, Some(&cache));
+    }
+    let stage = cache.stage_stats();
+    assert_eq!((stage.stage1_builds, stage.stage1_forks), (1, 1));
+    assert_eq!(stage.captured, 3, "both warm states and their first stage");
+    assert_eq!(stage.dropped, 0);
+    assert_eq!(cache.images_held(), 3);
 }

@@ -130,6 +130,11 @@ impl RefreshPlanner {
         self.mode
     }
 
+    /// The interference model supplying step 5's corruption draws.
+    pub fn interference(&self) -> &InterferenceModel {
+        &self.interference
+    }
+
     /// Plan the refresh of one block. `wl_valid_masks[w]` holds the
     /// validity bit mask of wordline `w` (bit `b` set ⇔ page `b` valid).
     ///

@@ -69,6 +69,14 @@ impl InterferenceModel {
         self.rng.gen_bool(self.corrupt_prob)
     }
 
+    /// Whether the model has sampled since it was seeded (or last
+    /// [`reset`](Self::reset)). A model that has not drawn is fully
+    /// described by its probability and seed, so it can be replaced by
+    /// a fresh one without changing any later draw.
+    pub fn has_drawn(&self) -> bool {
+        self.rng != Rng64::seed_from_u64(self.rng_seed)
+    }
+
     /// Reset the model's RNG to its seed so a run can be replayed.
     pub fn reset(&mut self) {
         self.rng = Rng64::seed_from_u64(self.rng_seed);
@@ -120,6 +128,16 @@ mod tests {
         m.reset();
         let second: Vec<bool> = (0..64).map(|_| m.page_corrupted()).collect();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn has_drawn_tracks_sampling() {
+        let mut m = InterferenceModel::with_seed(0.3, 11);
+        assert!(!m.has_drawn());
+        m.page_corrupted();
+        assert!(m.has_drawn());
+        m.reset();
+        assert!(!m.has_drawn());
     }
 
     #[test]

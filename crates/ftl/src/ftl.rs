@@ -292,6 +292,26 @@ impl Ftl {
         self.cfg.aging = aging;
     }
 
+    /// Re-point the FTL at `cfg` and rebuild the refresh planner from it
+    /// (refresh mode, IDA error rate, interference seed), as
+    /// [`Ftl::new`] would have built it. This lets one warm FTL serve
+    /// cells that differ only in what the refresh flow reads; the caller
+    /// checks that no other field differs (`Simulator::retarget` does).
+    /// Returns `false`, changing nothing, once the interference model
+    /// has drawn: a rebuilt planner would then replay draws already made.
+    pub fn retarget(&mut self, cfg: FtlConfig) -> bool {
+        if self.planner.interference().has_drawn() {
+            return false;
+        }
+        self.planner = RefreshPlanner::new(
+            self.geometry.bits_per_cell as u8,
+            cfg.refresh_mode,
+            InterferenceModel::with_seed(cfg.adjust_error_rate, cfg.seed),
+        );
+        self.cfg = cfg;
+        true
+    }
+
     /// Apply `cycles` of uniform background P/E wear to every block — the
     /// accelerated-lifetime lever the soak harness pulls between epochs.
     /// Stored as an offset outside the per-block erase counts so the GC

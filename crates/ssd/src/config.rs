@@ -62,6 +62,39 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Why [`Simulator::retarget`](crate::Simulator::retarget) refused to
+/// re-point a warm simulator at another configuration. The simulator is
+/// left unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetargetError {
+    /// The configurations differ in a field outside the late-bound
+    /// fields ([`SsdConfig::with_late_bound_fields`]): one that
+    /// prefill and aging read, so the warm state depends on it.
+    ConfigMismatch,
+    /// The interference model has already drawn (a refresh ran), so
+    /// reseeding it would change draws already made.
+    InterferenceDrawn,
+    /// The read-retry model has already drawn (a timed read ran), so
+    /// reseeding it would change draws already made.
+    RetryDrawn,
+}
+
+impl std::fmt::Display for RetargetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RetargetError::ConfigMismatch => {
+                write!(f, "configuration differs outside the late-bound fields")
+            }
+            RetargetError::InterferenceDrawn => {
+                write!(f, "the interference model has already drawn")
+            }
+            RetargetError::RetryDrawn => write!(f, "the read-retry model has already drawn"),
+        }
+    }
+}
+
+impl std::error::Error for RetargetError {}
+
 /// Full configuration of a simulated SSD.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
@@ -182,6 +215,23 @@ impl SsdConfig {
         SsdConfigBuilder {
             cfg: Self::paper_baseline(),
         }
+    }
+
+    /// `self` with the *late-bound fields* taken from `from`: the refresh
+    /// mode, the IDA voltage-adjustment error rate, the interference
+    /// seed, the flash timing and the read-retry model. This is the one
+    /// list of them. Untimed prefill and aging read none of them (refresh
+    /// and timed reads are the first to), so a simulator warmed that far
+    /// under one value of them can be
+    /// [retargeted](crate::Simulator::retarget) to another, and a cache
+    /// key for that warm state normalizes them through this function.
+    pub fn with_late_bound_fields(mut self, from: &SsdConfig) -> SsdConfig {
+        self.ftl.refresh_mode = from.ftl.refresh_mode;
+        self.ftl.adjust_error_rate = from.ftl.adjust_error_rate;
+        self.ftl.seed = from.ftl.seed;
+        self.timing = from.timing;
+        self.retry = from.retry;
+        self
     }
 
     /// The paper's baseline TLC SSD at experiment scale (scaled geometry,

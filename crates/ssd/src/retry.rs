@@ -88,6 +88,12 @@ impl RetryModel {
         &self.cfg
     }
 
+    /// Whether the sampler has drawn since it was seeded. One that has
+    /// not is fully described by its configuration.
+    pub fn has_drawn(&self) -> bool {
+        self.rng != Rng64::seed_from_u64(self.cfg.seed)
+    }
+
     /// Sample the number of *extra* sensing attempts for one host read.
     pub fn sample_retries(&mut self) -> u32 {
         if self.cfg.failure_prob <= 0.0 {

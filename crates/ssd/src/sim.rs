@@ -1,6 +1,6 @@
 //! The event-driven simulation engine.
 
-use crate::config::SsdConfig;
+use crate::config::{RetargetError, SsdConfig};
 use crate::event::EventQueue;
 use crate::metrics::Report;
 use crate::request::{HostOp, HostOpKind, PendingRequest};
@@ -365,6 +365,36 @@ impl Simulator {
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, ida_snap::SnapError> {
         let (_, payload) = ida_snap::frame::open(bytes)?;
         ida_snap::Snap::from_snap_bytes(payload)
+    }
+
+    /// Re-point a simulator warmed only by untimed prefill and aging at
+    /// `cfg`, which may differ from the configuration in force only in
+    /// the late-bound fields ([`SsdConfig::with_late_bound_fields`]).
+    /// Afterwards the simulator, and its snapshot, is byte-identical to
+    /// one built under `cfg` and warmed the same way, so one prefill and
+    /// aging pass can serve every system, timing and retry model of a
+    /// workload.
+    ///
+    /// # Errors
+    ///
+    /// [`RetargetError::ConfigMismatch`] if any other field differs;
+    /// [`RetargetError::InterferenceDrawn`] once a refresh has drawn from
+    /// the interference model, and [`RetargetError::RetryDrawn`] once a
+    /// timed read has drawn from the retry model. The simulator is then
+    /// unchanged.
+    pub fn retarget(&mut self, cfg: &SsdConfig) -> Result<(), RetargetError> {
+        if self.cfg.clone().with_late_bound_fields(cfg) != *cfg {
+            return Err(RetargetError::ConfigMismatch);
+        }
+        if self.retry.has_drawn() {
+            return Err(RetargetError::RetryDrawn);
+        }
+        if !self.ftl.retarget(cfg.ftl.clone()) {
+            return Err(RetargetError::InterferenceDrawn);
+        }
+        self.retry = RetryModel::new(cfg.retry);
+        self.cfg = cfg.clone();
+        Ok(())
     }
 
     /// Attach a trace sink. The handle is shared with the FTL, so FTL

@@ -229,3 +229,171 @@ fn warm_image_payload_is_byte_stable() {
     assert_eq!(payload.len(), 9_952_716);
     assert_eq!(ida_snap::fnv1a(payload), 0xf488_dac5_f3ee_e580);
 }
+
+/// `retarget` accepts only the late-bound fields: any other change is
+/// a typed error that leaves the simulator untouched.
+#[test]
+fn retarget_rejects_changes_outside_the_late_bound_fields() {
+    use ida_ssd::RetargetError;
+    let mut rng = Rng64::seed_from_u64(0x5AAF_0005);
+    let cfg = SsdConfig::tiny_test();
+    let mut sim = Simulator::new(cfg.clone());
+    let exported = cfg.ftl.exported_pages();
+    sim.prefill(0..exported / 2);
+    sim.age(&random_trace(&mut rng, &cfg.ftl, 200, 0.8));
+    let before = sim.snapshot();
+
+    let mut geometry = cfg.clone();
+    geometry.ftl.geometry = Geometry::tiny().with_bits_per_cell(2);
+    let mut spares = cfg.clone();
+    spares.ftl.spare_blocks_per_plane = 1;
+    let mut aging = cfg.clone();
+    aging.ftl.aging = AgingConfig::preset("mid", 3).unwrap();
+    for (what, other) in [("geometry", geometry), ("spares", spares), ("aging", aging)] {
+        assert_eq!(
+            sim.retarget(&other),
+            Err(RetargetError::ConfigMismatch),
+            "{what} change accepted"
+        );
+        assert_eq!(sim.snapshot(), before, "{what}: refused retarget mutated");
+    }
+
+    // The late-bound fields themselves are accepted, and back again.
+    let mut ida = cfg.clone();
+    ida.ftl.refresh_mode = ida_core::refresh::RefreshMode::Ida;
+    ida.ftl.adjust_error_rate = 0.3;
+    ida.ftl.seed = 77;
+    ida.timing = ida.timing.with_delta_tr_us(70);
+    ida.retry = ida_ssd::retry::RetryConfig::late_lifetime(0.4, 9);
+    assert_eq!(sim.retarget(&ida), Ok(()));
+    assert_eq!(sim.config(), &ida);
+    assert_eq!(sim.retarget(&cfg), Ok(()));
+    assert_eq!(sim.snapshot(), before);
+}
+
+/// Once a refresh has drawn from the interference model, or a timed read
+/// from the retry model, reseeding it would rewrite history: `retarget`
+/// refuses.
+#[test]
+fn retarget_refuses_once_a_seeded_model_has_drawn() {
+    use ida_ssd::RetargetError;
+    let mut rng = Rng64::seed_from_u64(0x5AAF_0006);
+    let mut cfg = SsdConfig::tiny_test();
+    cfg.ftl.refresh_mode = ida_core::refresh::RefreshMode::Ida;
+    cfg.ftl.adjust_error_rate = 0.5;
+    let mut sim = Simulator::new(cfg.clone());
+    warm(&mut sim, &mut rng);
+    assert!(
+        sim.ftl().stats().ida_conversions > 0,
+        "the refresh must have converted (and drawn)"
+    );
+    let mut reseeded = sim.config().clone();
+    reseeded.ftl.seed ^= 1;
+    let before = sim.snapshot();
+    assert_eq!(
+        sim.retarget(&reseeded),
+        Err(RetargetError::InterferenceDrawn)
+    );
+    assert_eq!(sim.snapshot(), before);
+
+    // Likewise for the retry model once a timed read has drawn from it.
+    let mut cfg = SsdConfig::tiny_test();
+    cfg.retry = ida_ssd::retry::RetryConfig::late_lifetime(0.4, 5);
+    let mut sim = Simulator::new(cfg.clone());
+    sim.prefill(0..cfg.ftl.exported_pages());
+    sim.run(random_trace(&mut rng, &cfg.ftl, 50, 0.0));
+    let mut reseeded = cfg.clone();
+    reseeded.retry.seed ^= 1;
+    let before = sim.snapshot();
+    assert_eq!(sim.retarget(&reseeded), Err(RetargetError::RetryDrawn));
+    assert_eq!(sim.snapshot(), before);
+}
+
+/// The staged warm-up's soundness on `workload`: stage 1 (prefill +
+/// aging) built under one fig8 system, fig9 ΔtR or fig11 retry phase and
+/// retargeted to another is byte-identical to stage 1 built under the
+/// target directly, and stage 2 plus the measured replay then report
+/// what the unstaged warm-up reports. Configurations carry the seeds the
+/// sweep derives per cell.
+///
+/// Every pair is covered through two hubs: each configuration's build is
+/// retargeted to both and must match their direct builds byte for byte.
+/// `retarget` rewrites only the late-bound fields, the planner and the
+/// retry model, so A → B is A → hub → B, and matching at two hubs that
+/// differ in system and ΔtR shows every build agrees outside those
+/// fields.
+fn assert_retarget_matches_direct_builds(workload: &str) {
+    use ida_bench::runner::{to_host_ops, warm_stage1, warm_stage2, warmed_simulator};
+    use ida_bench::sweep::{builtin_grid, metrics_json, replay_setup, stage1_id};
+    use ida_bench::ExperimentScale;
+
+    let scale = ExperimentScale::smoke().with_requests(300);
+    let preset = ida_workloads::suite::paper_workload(workload).expect("preset");
+    let cells: Vec<_> = ["fig8", "fig9", "fig11"]
+        .into_iter()
+        .flat_map(|grid| builtin_grid(grid).unwrap().cells())
+        .filter(|c| c.workload == workload)
+        .collect();
+    assert_eq!(cells.len(), 24, "10 fig8 systems, 2 × 5 ΔtR, 2 × 2 phases");
+    assert!(cells
+        .windows(2)
+        .all(|w| stage1_id(&w[0]) == stage1_id(&w[1])));
+    let cfgs: Vec<SsdConfig> = cells.iter().map(|c| replay_setup(c, &scale).0).collect();
+    let stage1 = |cfg: &SsdConfig| {
+        let mut sim = Simulator::new(cfg.clone());
+        warm_stage1(&mut sim, &preset);
+        sim
+    };
+    // fig8's Baseline at the default ΔtR and fig9's IDA-E20 at 70 µs.
+    let hub_at = [0, 19];
+    let hubs = hub_at.map(|i| &cfgs[i]);
+    assert_ne!(hubs[0].ftl.refresh_mode, hubs[1].ftl.refresh_mode);
+    assert_ne!(hubs[0].timing, hubs[1].timing);
+    let hub_images = hubs.map(|cfg| stage1(cfg).snapshot());
+    for (i, cfg) in cfgs.iter().enumerate() {
+        if hub_at.contains(&i) {
+            continue;
+        }
+        let mut sim = stage1(cfg);
+        for (hub, image) in hubs.iter().zip(&hub_images) {
+            sim.retarget(hub).unwrap();
+            assert!(
+                sim.snapshot() == *image,
+                "{workload}: stage 1 of {} retargeted to a hub differs from its direct build",
+                cells[i].id()
+            );
+        }
+    }
+    // Stage 2 and replay on a fork of a hub retargeted to another
+    // configuration (the other hub, and fig11's late-lifetime IDA-E20,
+    // whose replay draws retries), against the unstaged warm-up.
+    let late = cfgs.last().unwrap();
+    assert!(late.retry.failure_prob > 0.0);
+    for (from, to) in [(0, hubs[1]), (1, hubs[0]), (0, late)] {
+        let (mut want, trace) = warmed_simulator(&preset, to.clone(), &scale);
+        let mut got = Simulator::from_snapshot(&hub_images[from]).unwrap();
+        got.retarget(to).unwrap();
+        let got_trace = warm_stage2(&mut got, &preset, &scale);
+        let reports: Vec<String> = [(&mut want, trace), (&mut got, got_trace)]
+            .into_iter()
+            .map(|(sim, trace)| {
+                sim.set_spans(true);
+                metrics_json(&sim.run(to_host_ops(&trace)))
+            })
+            .collect();
+        assert_eq!(
+            reports[0], reports[1],
+            "{workload}: replay from hub {from} differs"
+        );
+    }
+}
+
+#[test]
+fn retargeted_stage1_equals_a_direct_build_on_proj_3() {
+    assert_retarget_matches_direct_builds("proj_3");
+}
+
+#[test]
+fn retargeted_stage1_equals_a_direct_build_on_proj_1() {
+    assert_retarget_matches_direct_builds("proj_1");
+}

@@ -49,6 +49,6 @@ pub use agg::SweepOutcome;
 pub use cell::{derive_stream_seed, Cell};
 pub use journal::{JournalRecord, JournalWriter};
 pub use net::{run_worker, serve, WarmPort, WorkerReport, PROTO_VERSION};
-pub use pool::{run_cells, CellOutcome, CellStatus, SweepConfig};
+pub use pool::{round_context, run_cells, CellOutcome, CellStatus, RoundContext, SweepConfig};
 pub use spec::{SpecError, SweepSpec, SweepSpecBuilder};
-pub use warm::{WarmCache, WarmRemote, WarmStats};
+pub use warm::{BuildClaim, Lookup, Stage, StageStats, WarmCache, WarmRemote, WarmStats};

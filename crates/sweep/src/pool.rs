@@ -15,6 +15,7 @@ use crate::cell::Cell;
 use crate::journal::{self, JournalWriter};
 use crate::warm::WarmCache;
 use ida_obs::progress::Progress;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,6 +107,39 @@ impl SweepConfig {
         }
         Ok(cfg)
     }
+}
+
+/// What a running cell can see of the [`run_cells`] call running it:
+/// every cell the call executes (cells restored from the journal
+/// excluded) and which one is running. It serves as a plan, such as the
+/// warm cache's reader counts; it must never change what a cell
+/// computes.
+#[derive(Debug, Clone)]
+pub struct RoundContext {
+    pending: Arc<[Cell]>,
+    current: usize,
+}
+
+impl RoundContext {
+    /// Every cell this call executes, in the order workers claim them.
+    pub fn pending(&self) -> &[Cell] {
+        &self.pending
+    }
+
+    /// The running cell.
+    pub fn current(&self) -> &Cell {
+        &self.pending[self.current]
+    }
+}
+
+thread_local! {
+    static ROUND: RefCell<Option<RoundContext>> = const { RefCell::new(None) };
+}
+
+/// The round context of the cell running on this thread, or `None`
+/// outside [`run_cells`].
+pub fn round_context() -> Option<RoundContext> {
+    ROUND.with(|r| r.borrow().clone())
 }
 
 /// The machine's available parallelism (1 if unknown).
@@ -232,6 +266,7 @@ where
         Progress::disabled()
     };
 
+    let round: Arc<[Cell]> = pending.iter().map(|&i| cells[i].clone()).collect();
     let jobs = cfg.jobs.clamp(1, pending.len().max(1));
     let max_attempts = cfg.max_attempts.max(1);
     let cursor = AtomicUsize::new(0);
@@ -243,13 +278,21 @@ where
             let tx = tx.clone();
             let cursor = &cursor;
             let pending = &pending;
+            let round = &round;
             let f = &f;
             scope.spawn(move || loop {
                 let claim = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&idx) = pending.get(claim) else {
                     break;
                 };
+                ROUND.with(|r| {
+                    *r.borrow_mut() = Some(RoundContext {
+                        pending: round.clone(),
+                        current: claim,
+                    })
+                });
                 let outcome = run_one(&cells[idx], max_attempts, f);
+                ROUND.with(|r| *r.borrow_mut() = None);
                 if tx.send((idx, outcome)).is_err() {
                     break;
                 }
@@ -383,6 +426,23 @@ mod tests {
                 assert!(o.payload().is_some());
             }
         }
+    }
+
+    #[test]
+    fn cells_see_their_round_and_nothing_leaks_out() {
+        let cells = grid(3);
+        for jobs in [1, 3] {
+            let cfg = SweepConfig::serial().with_jobs(jobs);
+            let outcomes = run_cells("t", &cells, &cfg, |cell: &Cell| {
+                let ctx = round_context().expect("inside run_cells");
+                assert_eq!(ctx.current(), cell);
+                assert_eq!(ctx.pending(), &cells[..]);
+                payload_of(cell)
+            })
+            .unwrap();
+            assert!(outcomes.iter().all(|o| o.attempts == 1));
+        }
+        assert!(round_context().is_none());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!
 //! Guarantees:
 //!
-//! - **Single-flight**: when two workers need the same key concurrently,
-//!   exactly one runs the build closure; the other blocks on a condvar
-//!   until the snapshot is ready. A build that panics wakes the waiters
-//!   and lets the next claimant rebuild — no deadlock, no poisoned key.
+//! - **Single-flight**: when two workers need the same stage-2 key
+//!   concurrently, exactly one runs the build closure; the other blocks
+//!   on a condvar until the snapshot is ready. A build that panics wakes
+//!   the waiters and lets the next claimant rebuild — no deadlock, no
+//!   poisoned key.
 //! - **Determinism-neutral**: the cache stores exactly the bytes the
 //!   build closure produced, and [`ida_snap`]'s differential invariant
 //!   (restore → run ≡ keep running) means a cache hit is byte-for-byte
@@ -24,11 +25,25 @@
 //!   revalidated by their [`ida_snap::frame`] header on reload, so a
 //!   killed-and-resumed sweep skips even the first warm-up per key.
 //!   Corrupt or truncated spill files are ignored and rebuilt.
+//! - **Two stages**: an image is either a complete warm state
+//!   ([`Stage::Two`], what a cell forks) or the shared first stage of
+//!   several of them ([`Stage::One`]), which callers fork to build a
+//!   stage-2 image. Stage-1 images never spill, because a resumed run
+//!   finds the stage-2 images it needs on disk, and a stage-1 lookup
+//!   never waits: one that finds its key being built builds its own
+//!   copy, uncaptured. Waiting would idle the worker for the rest of the
+//!   build and then cost a fork, about what its own build costs.
+//! - **Capture plan**: a lookup may say how many planned reads its key
+//!   has in all (the first such count per key sticks). An image is then
+//!   captured only while a later read is planned, or when a spill
+//!   directory or peer wants it, and leaves memory after its last planned
+//!   read. Without a count the cache captures and keeps everything. The
+//!   plan is a hint: a wrong count costs a rebuild, never different bytes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A remote peer that can serve and accept warm snapshots — in
 /// practice the distributed-sweep coordinator, reached over a dedicated
@@ -46,10 +61,48 @@ pub trait WarmRemote: Send {
 /// One key's state in the in-memory table.
 #[derive(Debug)]
 enum Slot {
-    /// Some worker is running the build closure right now.
+    /// Some worker is building (or loading) the image right now.
     Building,
     /// The snapshot bytes, shared by every forker.
     Ready(Arc<Vec<u8>>),
+}
+
+/// Which warm-up stage an image holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The shared first stage of several warm-ups; forked only to build
+    /// stage-2 images. Never spilled.
+    One,
+    /// A complete warm state, forked by cells.
+    Two,
+}
+
+/// The in-memory table: images by key, plus the capture plan.
+#[derive(Debug, Default)]
+struct Table {
+    slots: HashMap<u64, Slot>,
+    /// Planned reads still to come, per key that has a plan.
+    reads_left: HashMap<u64, u64>,
+}
+
+impl Table {
+    /// Count one served read of `key`, installing `planned` as its total
+    /// on the first sight of a count. Returns the planned reads left
+    /// after this one, or `None` when the key has no plan.
+    fn read(&mut self, key: u64, planned: Option<u64>) -> Option<u64> {
+        let left = match (self.reads_left.get_mut(&key), planned) {
+            (Some(left), _) => left,
+            (None, Some(n)) => self.reads_left.entry(key).or_insert(n),
+            (None, None) => return None,
+        };
+        *left = left.saturating_sub(1);
+        Some(*left)
+    }
+
+    /// Whether a later read of `key` is planned (or it has no plan).
+    fn reads_remain(&self, key: u64) -> bool {
+        self.reads_left.get(&key).is_none_or(|&left| left > 0)
+    }
 }
 
 /// Hit/miss counters, snapshotted by [`WarmCache::stats`].
@@ -72,9 +125,23 @@ impl WarmStats {
     }
 }
 
+/// Stage-1 and capture counters, snapshotted by
+/// [`WarmCache::stage_stats`]. [`WarmStats`] counts stage-2 lookups only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageStats {
+    /// Stage-1 images built.
+    pub stage1_builds: u64,
+    /// Stage-1 lookups served from memory, disk or a peer.
+    pub stage1_forks: u64,
+    /// Built images handed to the cache (either stage).
+    pub captured: u64,
+    /// Images evicted from memory after their last planned read.
+    pub dropped: u64,
+}
+
 /// A keyed, single-flight cache of serialized warm simulator states.
 pub struct WarmCache {
-    slots: Mutex<HashMap<u64, Slot>>,
+    table: Mutex<Table>,
     ready: Condvar,
     spill: Option<PathBuf>,
     remote: Mutex<Option<Box<dyn WarmRemote>>>,
@@ -82,6 +149,10 @@ pub struct WarmCache {
     disk_hits: AtomicU64,
     remote_hits: AtomicU64,
     misses: AtomicU64,
+    stage1_builds: AtomicU64,
+    stage1_forks: AtomicU64,
+    captured: AtomicU64,
+    dropped: AtomicU64,
 }
 
 impl std::fmt::Debug for WarmCache {
@@ -94,19 +165,92 @@ impl std::fmt::Debug for WarmCache {
     }
 }
 
-/// Clears a `Building` claim if the build closure unwinds, waking every
-/// waiter so one of them can re-claim the key. Disarmed on success.
-struct BuildGuard<'a> {
+/// What [`WarmCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The image, from memory, a spill file or a peer.
+    Hit(Arc<Vec<u8>>),
+    /// No one holds the image: the caller builds it and reports through
+    /// the claim. Concurrent stage-2 lookups of the key wait until it
+    /// settles.
+    Build(BuildClaim<'a>),
+}
+
+/// The right to build one key's image, returned by [`WarmCache::lookup`].
+/// Usually exclusive: dropping it unfinished (a build that panics) frees
+/// the key and wakes every waiter, so one of them can re-claim it. A
+/// stage-1 lookup that finds its key being built gets a claim on a
+/// private copy instead, which never touches the key.
+#[derive(Debug)]
+pub struct BuildClaim<'a> {
     cache: &'a WarmCache,
     key: u64,
+    stage: Stage,
+    /// Whether this claim holds the key's `Building` slot.
+    owner: bool,
     armed: bool,
 }
 
-impl Drop for BuildGuard<'_> {
+impl BuildClaim<'_> {
+    /// Whether the cache wants the built image: a later read is planned
+    /// (or there is no plan), or a spill directory or peer takes it.
+    /// When this is `false` the builder can skip capturing altogether.
+    pub fn wants_image(&self) -> bool {
+        (self.owner && self.cache.table().reads_remain(self.key))
+            || (self.stage == Stage::Two && self.cache.spill.is_some())
+            || self
+                .cache
+                .remote
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_some()
+    }
+
+    /// Record a finished build and hand over its image, if captured:
+    /// it is offered to the peer, spilled (stage 2) and, by the key's
+    /// owner, kept in memory while later reads are planned. Returns the
+    /// shared image.
+    pub fn finish(mut self, image: Option<Vec<u8>>) -> Option<Arc<Vec<u8>>> {
+        let builds = match self.stage {
+            Stage::One => &self.cache.stage1_builds,
+            Stage::Two => &self.cache.misses,
+        };
+        builds.fetch_add(1, Ordering::Relaxed);
+        let image = image.map(Arc::new);
+        if let Some(bytes) = &image {
+            self.cache.captured.fetch_add(1, Ordering::Relaxed);
+            // Only a locally built image is offered to the peer — a
+            // fetched one is already there by definition.
+            self.cache.publish_remote(self.key, bytes);
+            if self.stage == Stage::Two {
+                self.cache.store_spill(self.key, bytes);
+            }
+        }
+        self.settle(image.clone());
+        image
+    }
+
+    /// Leave an owned key `Ready` with `image` while later reads are
+    /// planned, or free it, and wake the waiters.
+    fn settle(&mut self, image: Option<Arc<Vec<u8>>>) {
+        if !self.owner {
+            return;
+        }
+        let mut table = self.cache.table();
+        match image.filter(|_| table.reads_remain(self.key)) {
+            Some(bytes) => table.slots.insert(self.key, Slot::Ready(bytes)),
+            None => table.slots.remove(&self.key),
+        };
+        self.armed = false;
+        self.cache.ready.notify_all();
+    }
+}
+
+impl Drop for BuildClaim<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut slots = self.cache.slots.lock().unwrap();
-            slots.remove(&self.key);
+            let mut table = self.cache.table();
+            table.slots.remove(&self.key);
             self.cache.ready.notify_all();
         }
     }
@@ -154,7 +298,7 @@ impl WarmCache {
         retain_freed_memory();
         let spill = spill.filter(|dir| std::fs::create_dir_all(dir).is_ok());
         WarmCache {
-            slots: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table::default()),
             ready: Condvar::new(),
             spill,
             remote: Mutex::new(None),
@@ -162,6 +306,10 @@ impl WarmCache {
             disk_hits: AtomicU64::new(0),
             remote_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            stage1_builds: AtomicU64::new(0),
+            stage1_forks: AtomicU64::new(0),
+            captured: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
         }
     }
 
@@ -175,62 +323,104 @@ impl WarmCache {
     }
 
     /// The snapshot for `key`, building it with `build` exactly once per
-    /// key no matter how many workers ask concurrently.
+    /// key no matter how many workers ask concurrently. The image is
+    /// always captured; it stays in memory unless the key's plan says
+    /// this was its last read.
     pub fn get_or_build(&self, key: u64, build: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        {
-            let mut slots = self.slots.lock().unwrap();
+        match self.lookup(key, Stage::Two, None) {
+            Lookup::Hit(bytes) => bytes,
+            Lookup::Build(claim) => claim
+                .finish(Some(build()))
+                .expect("a handed-over image is returned"),
+        }
+    }
+
+    /// Look `key` up as one read of a `stage` image, with `planned` the
+    /// key's total planned reads (`None`: no plan). Single-flight for
+    /// stage 2: while one caller holds the [`BuildClaim`], other lookups
+    /// of the key wait. A miss tries the spill file (stage 2) and then
+    /// the peer, outside the table lock, before handing the caller a
+    /// claim.
+    pub fn lookup(&self, key: u64, stage: Stage, planned: Option<u64>) -> Lookup<'_> {
+        let owner = {
+            let mut table = self.table();
             loop {
-                match slots.get(&key) {
+                match table.slots.get(&key) {
                     Some(Slot::Ready(bytes)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return bytes.clone();
+                        let bytes = bytes.clone();
+                        if table.read(key, planned) == Some(0) {
+                            table.slots.remove(&key);
+                            self.dropped.fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.count_hit(stage, &self.hits);
+                        return Lookup::Hit(bytes);
+                    }
+                    Some(Slot::Building) if stage == Stage::Two => {
+                        table = self
+                            .ready
+                            .wait(table)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                     Some(Slot::Building) => {
-                        slots = self.ready.wait(slots).unwrap();
+                        table.read(key, planned);
+                        break false;
                     }
                     None => {
-                        if let Some(bytes) = self.load_spill(key) {
-                            let bytes = Arc::new(bytes);
-                            slots.insert(key, Slot::Ready(bytes.clone()));
-                            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                            self.ready.notify_all();
-                            return bytes;
-                        }
-                        slots.insert(key, Slot::Building);
-                        break;
+                        table.read(key, planned);
+                        table.slots.insert(key, Slot::Building);
+                        break true;
                     }
                 }
             }
-        }
-        // We hold the (lock-free) build claim; the guard releases it if
-        // `build` panics so waiters do not deadlock on a dead builder.
-        let mut guard = BuildGuard {
+        };
+        let mut claim = BuildClaim {
             cache: self,
             key,
-            armed: true,
+            stage,
+            owner,
+            armed: owner,
         };
-        // Peer consult: dearer than disk, far cheaper than a warm-up.
-        // Only a locally built snapshot is offered back — a fetched one
-        // is already on the peer by definition.
-        let bytes = match self.fetch_remote(key) {
-            Some(bytes) => {
-                self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::new(bytes)
-            }
-            None => {
-                let bytes = Arc::new(build());
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.publish_remote(key, &bytes);
-                bytes
-            }
+        if !owner {
+            return Lookup::Build(claim);
+        }
+        // Disk, then peer: dearer than memory, far cheaper than a build.
+        let from_disk = match stage {
+            Stage::One => None,
+            Stage::Two => self.load_spill(key),
         };
-        self.store_spill(key, &bytes);
-        let mut slots = self.slots.lock().unwrap();
-        slots.insert(key, Slot::Ready(bytes.clone()));
-        guard.armed = false;
-        self.ready.notify_all();
-        drop(slots);
-        bytes
+        let loaded = match from_disk {
+            Some(bytes) => Some((bytes, &self.disk_hits)),
+            None => self.fetch_remote(key).map(|bytes| {
+                if stage == Stage::Two {
+                    self.store_spill(key, &bytes);
+                }
+                (bytes, &self.remote_hits)
+            }),
+        };
+        match loaded {
+            Some((bytes, counter)) => {
+                self.count_hit(stage, counter);
+                let bytes = Arc::new(bytes);
+                claim.settle(Some(bytes.clone()));
+                Lookup::Hit(bytes)
+            }
+            None => Lookup::Build(claim),
+        }
+    }
+
+    /// The table. Every update is a single insert or remove, so a table
+    /// whose lock a panicking thread poisoned is still consistent.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count a stage-2 hit on `counter`, or any stage-1 hit as a fork.
+    fn count_hit(&self, stage: Stage, counter: &AtomicU64) {
+        let counter = match stage {
+            Stage::One => &self.stage1_forks,
+            Stage::Two => counter,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
@@ -243,11 +433,32 @@ impl WarmCache {
         }
     }
 
+    /// Stage-1 and capture counter snapshot.
+    pub fn stage_stats(&self) -> StageStats {
+        StageStats {
+            stage1_builds: self.stage1_builds.load(Ordering::Relaxed),
+            stage1_forks: self.stage1_forks.load(Ordering::Relaxed),
+            captured: self.captured.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Images held in memory right now.
+    pub fn images_held(&self) -> usize {
+        self.table()
+            .slots
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(_)))
+            .count()
+    }
+
     /// A one-line human/CI-greppable summary, e.g.
-    /// `warm-cache: 66 hits (0 from disk, 0 from peers), 22 misses (22 warm-ups for 88 cells)`.
+    /// `warm-cache: 66 hits (0 from disk, 0 from peers), 22 misses (22 warm-ups for 88 cells)`,
+    /// followed, once stage-1 images were looked up, by
+    /// `; stage 1: 11 builds for 88 cells (11 forks), 33 images captured, 33 dropped`.
     pub fn stats_line(&self, cells: usize) -> String {
         let s = self.stats();
-        format!(
+        let mut line = format!(
             "warm-cache: {} hits ({} from disk, {} from peers), {} misses ({} warm-ups for {} cells)",
             s.total_hits(),
             s.disk_hits,
@@ -255,7 +466,15 @@ impl WarmCache {
             s.misses,
             s.misses,
             cells
-        )
+        );
+        let st = self.stage_stats();
+        if st.stage1_builds + st.stage1_forks > 0 {
+            line.push_str(&format!(
+                "; stage 1: {} builds for {} cells ({} forks), {} images captured, {} dropped",
+                st.stage1_builds, cells, st.stage1_forks, st.captured, st.dropped
+            ));
+        }
+        line
     }
 
     /// A frame-valid snapshot from the remote peer, if one is attached
@@ -434,6 +653,136 @@ mod tests {
             cache.stats_line(3),
             "warm-cache: 1 hits (0 from disk, 0 from peers), 2 misses (2 warm-ups for 3 cells)"
         );
+    }
+
+    #[test]
+    fn two_threads_share_one_spill_load() {
+        let dir = std::env::temp_dir().join(format!("ida-warm-2t-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        WarmCache::new(Some(dir.clone())).get_or_build(0xCD, || payload(4));
+
+        let resumed = Arc::new(WarmCache::new(Some(dir.clone())));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let (cache, start) = (resumed.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache.get_or_build(0xCD, || unreachable!("spill must serve both"))
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(*h.join().unwrap(), payload(4));
+        }
+        // One thread read the file; the other waited on its claim and
+        // found the image in memory.
+        assert_eq!(
+            resumed.stats(),
+            WarmStats {
+                hits: 1,
+                disk_hits: 1,
+                remote_hits: 0,
+                misses: 0
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn planned_reads_decide_capture_and_eviction() {
+        let cache = WarmCache::new(None);
+        // One planned read: the builder is the only reader.
+        let Lookup::Build(claim) = cache.lookup(1, Stage::Two, Some(1)) else {
+            panic!("empty cache must miss");
+        };
+        assert!(!claim.wants_image());
+        assert_eq!(claim.finish(None), None);
+        assert_eq!(cache.images_held(), 0);
+
+        // Three planned reads: captured, forked twice, then evicted.
+        let Lookup::Build(claim) = cache.lookup(2, Stage::One, Some(3)) else {
+            panic!("empty cache must miss");
+        };
+        assert!(claim.wants_image());
+        claim.finish(Some(payload(2)));
+        assert_eq!(cache.images_held(), 1);
+        for _ in 0..2 {
+            assert!(matches!(
+                cache.lookup(2, Stage::One, Some(3)),
+                Lookup::Hit(_)
+            ));
+        }
+        assert_eq!(cache.images_held(), 0);
+        // A read beyond the plan (a retried cell) rebuilds, uncaptured.
+        let Lookup::Build(claim) = cache.lookup(2, Stage::One, Some(3)) else {
+            panic!("evicted key must miss");
+        };
+        assert!(!claim.wants_image());
+        claim.finish(None);
+
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(
+            cache.stage_stats(),
+            StageStats {
+                stage1_builds: 2,
+                stage1_forks: 2,
+                captured: 1,
+                dropped: 1
+            }
+        );
+        assert_eq!(
+            cache.stats_line(4),
+            "warm-cache: 0 hits (0 from disk, 0 from peers), 1 misses (1 warm-ups for 4 cells); \
+             stage 1: 2 builds for 4 cells (2 forks), 1 images captured, 1 dropped"
+        );
+    }
+
+    #[test]
+    fn stage1_lookups_never_wait_for_a_build() {
+        let cache = WarmCache::new(None);
+        let Lookup::Build(owner) = cache.lookup(7, Stage::One, Some(2)) else {
+            panic!("empty cache must miss");
+        };
+        // A second reader arrives mid-build (waiting here would hang the
+        // test): it gets a claim on a private copy at once.
+        let Lookup::Build(private) = cache.lookup(7, Stage::One, Some(2)) else {
+            panic!("a key being built must not hit");
+        };
+        assert!(!private.wants_image());
+        assert_eq!(private.finish(None), None);
+        // Both planned reads are served, so the owner need not capture.
+        assert!(!owner.wants_image());
+        owner.finish(None);
+        assert_eq!(cache.images_held(), 0);
+        assert_eq!(cache.stage_stats().stage1_builds, 2);
+    }
+
+    #[test]
+    fn spill_forces_stage_two_capture_and_no_plan_captures_all() {
+        let dir = std::env::temp_dir().join(format!("ida-warm-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spilling = WarmCache::new(Some(dir.clone()));
+        let Lookup::Build(two) = spilling.lookup(1, Stage::Two, Some(1)) else {
+            panic!("empty cache must miss");
+        };
+        assert!(two.wants_image(), "stage-2 images spill");
+        two.finish(Some(payload(1)));
+        assert_eq!(spilling.images_held(), 0, "spilled, not kept");
+        let Lookup::Build(one) = spilling.lookup(2, Stage::One, Some(1)) else {
+            panic!("empty cache must miss");
+        };
+        assert!(!one.wants_image(), "stage-1 images never spill");
+        drop(one);
+
+        let unplanned = WarmCache::new(None);
+        let Lookup::Build(claim) = unplanned.lookup(3, Stage::Two, None) else {
+            panic!("empty cache must miss");
+        };
+        assert!(claim.wants_image());
+        claim.finish(Some(payload(3)));
+        assert_eq!(unplanned.images_held(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An in-memory [`WarmRemote`] stand-in recording the traffic.
